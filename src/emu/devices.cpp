@@ -65,19 +65,7 @@ void DeviceHub::sync(uint64_t now) {
     mem_.set_raw(kAdcsra, sra);
   }
 
-  // Radio receive: move bytes whose on-air time has elapsed into the
-  // readable buffer. Arrivals beyond the buffer depth are lost (RX
-  // overrun), like on the real transceiver when the task polls too slowly.
-  while (!rx_pending_.empty() && rx_pending_.front().first <= now) {
-    if (rx_avail_.size() < kRxBufferCap) {
-      rx_avail_.push_back(rx_pending_.front().second);
-      ++rx_delivered_;
-    } else {
-      ++rx_overruns_;
-    }
-    rx_pending_.pop_front();
-    radio_irq_flag_ = true;
-  }
+  if (now >= rx_next_at_) rx_arrive(now);
 
   // Radio transmit completion(s): hand the finished packet over (record +
   // medium sink) and start the next queued send back-to-back — its bytes
@@ -98,6 +86,59 @@ void DeviceHub::sync(uint64_t now) {
       mem_.set_raw(kRadioStatus, 0);
     }
   }
+}
+
+// Radio receive: move bytes whose on-air time has elapsed into the
+// readable buffer. Arrivals beyond the buffer depth are lost (RX overrun),
+// like on the real transceiver when the task polls too slowly. Nothing is
+// read in between, so a packet's arrived span splits into a kept prefix
+// (up to the free room) and an overrun tail.
+void DeviceHub::rx_arrive(uint64_t now) {
+  while (!rx_pending_.empty()) {
+    RxPacket& p = rx_pending_.front();
+    if (now < p.begin + (rx_cursor_ + 1) * uint64_t(kCyclesPerRadioByte))
+      break;
+    const size_t arrived = static_cast<size_t>(std::min<uint64_t>(
+        p.bytes.size(), (now - p.begin) / kCyclesPerRadioByte));
+    const size_t n = arrived - rx_cursor_;
+    const size_t keep = std::min(n, kRxBufferCap - rx_avail_.size());
+    const auto from = p.bytes.begin() + static_cast<ptrdiff_t>(rx_cursor_);
+    rx_avail_.insert(rx_avail_.end(), from,
+                     from + static_cast<ptrdiff_t>(keep));
+    rx_delivered_ += keep;
+    rx_overruns_ += n - keep;
+    radio_irq_flag_ = true;
+    if (arrived < p.bytes.size()) {
+      rx_cursor_ = arrived;
+      break;
+    }
+    rx_pending_.pop_front();
+    rx_cursor_ = 0;
+  }
+  rx_next_at_ = rx_pending_.empty()
+                    ? kNever
+                    : rx_pending_.front().begin +
+                          (rx_cursor_ + 1) * uint64_t(kCyclesPerRadioByte);
+}
+
+void DeviceHub::take_rx(std::vector<uint8_t>& out) {
+  sync(now_);
+  out.insert(out.end(), rx_avail_.begin(), rx_avail_.end());
+  rx_avail_.clear();
+}
+
+std::optional<uint64_t> DeviceHub::rx_arrival(size_t k) const {
+  if (k <= rx_avail_.size()) return now_;
+  k -= rx_avail_.size();
+  size_t cursor = rx_cursor_;
+  for (const RxPacket& p : rx_pending_) {
+    const size_t left = p.bytes.size() - cursor;
+    if (k <= left)
+      return p.begin + (cursor + k) * uint64_t(kCyclesPerRadioByte);
+    k -= left;
+    cursor = 0;
+  }
+  return std::nullopt;
 }
 
 void DeviceHub::io_access(uint16_t addr, uint8_t& value, bool write) {
@@ -259,13 +300,20 @@ bool DeviceHub::load_flash_page(std::span<const uint8_t> page) {
 
 uint64_t DeviceHub::schedule_rx(std::span<const uint8_t> bytes,
                                 uint64_t at_cycle) {
+  return schedule_rx(std::vector<uint8_t>(bytes.begin(), bytes.end()),
+                     at_cycle);
+}
+
+uint64_t DeviceHub::schedule_rx(std::vector<uint8_t>&& bytes,
+                                uint64_t at_cycle) {
   // Serial medium: a delivery that overlaps the in-flight one queues
-  // behind it (arrival timestamps in rx_pending_ stay monotone, so sync()
+  // behind it (arrival times across rx_pending_ stay monotone, so sync()
   // drains strictly in arrival order).
   const uint64_t begin = std::max(at_cycle, rx_busy_until_);
-  for (size_t i = 0; i < bytes.size(); ++i)
-    rx_pending_.emplace_back(begin + (i + 1) * kCyclesPerRadioByte, bytes[i]);
-  rx_busy_until_ = begin + bytes.size() * kCyclesPerRadioByte;
+  rx_busy_until_ = begin + bytes.size() * uint64_t(kCyclesPerRadioByte);
+  if (bytes.empty()) return begin;
+  if (rx_pending_.empty()) rx_next_at_ = begin + kCyclesPerRadioByte;
+  rx_pending_.push_back({begin, std::move(bytes)});
   return begin;
 }
 
@@ -306,7 +354,7 @@ std::optional<uint64_t> DeviceHub::next_event_after(uint64_t now) const {
 
   if (adc_done_at_) consider(*adc_done_at_);
   if (radio_done_at_) consider(*radio_done_at_);
-  if (!rx_pending_.empty()) consider(rx_pending_.front().first);
+  if (!rx_pending_.empty()) consider(rx_next_at_);
   if (sleep_armed_) consider(sleep_wake_cycle_);
 
   // Timer0 overflow/compare, only when the interrupt is unmasked (a masked

@@ -196,8 +196,10 @@ class DeviceHub {
   // still in the air, a newly scheduled packet queues behind it instead of
   // interleaving with (or shadowing) the in-flight bytes — its delivery
   // start is pushed to the end of the busy window. Returns the cycle the
-  // delivery actually starts.
+  // delivery actually starts. The rvalue overload takes the bytes over
+  // instead of copying them.
   uint64_t schedule_rx(std::span<const uint8_t> bytes, uint64_t at_cycle);
+  uint64_t schedule_rx(std::vector<uint8_t>&& bytes, uint64_t at_cycle);
   // Back-compat aliases (delivery at the current device time).
   void inject_rx(std::span<const uint8_t> bytes, uint64_t at_cycle) {
     schedule_rx(bytes, at_cycle);
@@ -212,9 +214,24 @@ class DeviceHub {
   // readable by the new program).
   void flush_rx() {
     rx_pending_.clear();
+    rx_cursor_ = 0;
+    rx_next_at_ = kNever;
     rx_avail_.clear();
     rx_busy_until_ = 0;
   }
+
+  // Host-side radio access for simulators driving the device without guest
+  // code. take_rx appends every readable RX byte to `out` and empties the
+  // buffer — exactly what a loop of kRadioRxAvail/kRadioRxData reads at the
+  // current device time returns, without the per-byte port round trip.
+  void take_rx(std::vector<uint8_t>& out);
+  // Cycle at which the k-th (1-based) unread byte — buffered bytes first,
+  // then deliveries in flight — becomes readable, assuming no overrun in
+  // between. Bytes already readable report the current device time;
+  // nullopt if fewer than k bytes are buffered or in flight.
+  std::optional<uint64_t> rx_arrival(size_t k) const;
+  // Completion cycle of the packet on the air, if one is transmitting.
+  std::optional<uint64_t> tx_done_at() const { return radio_done_at_; }
 
   uint16_t timer3_ticks(uint64_t now) const {
     return static_cast<uint16_t>(now / kTimer3Prescale);
@@ -266,8 +283,11 @@ class DeviceHub {
   void reboot();
 
  private:
+  static constexpr uint64_t kNever = ~0ULL;
+
   uint16_t lfsr_next();
   uint32_t timer0_prescale() const;
+  void rx_arrive(uint64_t now);
 
   DataMemory& mem_;
   uint64_t now_ = 0;
@@ -292,8 +312,19 @@ class DeviceHub {
   bool radio_irq_flag_ = false;
   std::vector<std::vector<uint8_t>> radio_sent_;
   TxSink tx_sink_;
-  // Receive path: bytes in flight (arrival cycle, value) and arrived bytes.
-  std::deque<std::pair<uint64_t, uint8_t>> rx_pending_;
+  // Receive path. Deliveries in flight are kept one entry per packet:
+  // byte i of a packet arrives at begin + (i+1) * kCyclesPerRadioByte, and
+  // rx_cursor_ counts the front packet's bytes that have already arrived
+  // (into rx_avail_, or lost to an overrun). rx_next_at_ caches the arrival
+  // of the next pending byte so the hot-path sync is one compare. Arrived,
+  // unread bytes wait in rx_avail_ (at most kRxBufferCap).
+  struct RxPacket {
+    uint64_t begin = 0;
+    std::vector<uint8_t> bytes;
+  };
+  std::deque<RxPacket> rx_pending_;
+  size_t rx_cursor_ = 0;
+  uint64_t rx_next_at_ = kNever;
   std::deque<uint8_t> rx_avail_;
   uint64_t rx_busy_until_ = 0;  // serial-medium cursor for schedule_rx
   uint64_t rx_overruns_ = 0;

@@ -1,27 +1,50 @@
 #include "net/frame.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 namespace sensmart::net {
 
+namespace {
+
+// Byte-at-a-time lookup tables: entry i is the register after shifting
+// byte i through the bit-serial loop, so one lookup replaces eight steps.
+constexpr std::array<uint16_t, 256> kCrc16Table = [] {
+  std::array<uint16_t, 256> t{};
+  for (unsigned i = 0; i < 256; ++i) {
+    uint16_t c = static_cast<uint16_t>(i << 8);
+    for (int k = 0; k < 8; ++k)
+      c = (c & 0x8000) ? static_cast<uint16_t>((c << 1) ^ 0x1021)
+                       : static_cast<uint16_t>(c << 1);
+    t[i] = c;
+  }
+  return t;
+}();
+
+constexpr std::array<uint32_t, 256> kCrc32Table = [] {
+  std::array<uint32_t, 256> t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    t[i] = c;
+  }
+  return t;
+}();
+
+}  // namespace
+
 uint16_t crc16_ccitt(std::span<const uint8_t> bytes) {
   uint16_t crc = 0xFFFF;
-  for (uint8_t b : bytes) {
-    crc ^= static_cast<uint16_t>(b) << 8;
-    for (int i = 0; i < 8; ++i)
-      crc = (crc & 0x8000) ? static_cast<uint16_t>((crc << 1) ^ 0x1021)
-                           : static_cast<uint16_t>(crc << 1);
-  }
+  for (uint8_t b : bytes)
+    crc = static_cast<uint16_t>((crc << 8) ^
+                                kCrc16Table[((crc >> 8) ^ b) & 0xFF]);
   return crc;
 }
 
 uint32_t crc32(std::span<const uint8_t> bytes) {
   uint32_t crc = 0xFFFFFFFFu;
-  for (uint8_t b : bytes) {
-    crc ^= b;
-    for (int i = 0; i < 8; ++i)
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-  }
+  for (uint8_t b : bytes) crc = (crc >> 8) ^ kCrc32Table[(crc ^ b) & 0xFF];
   return ~crc;
 }
 
@@ -47,47 +70,77 @@ void encode_frame_into(const Frame& f, std::vector<uint8_t>& out) {
   out.push_back(static_cast<uint8_t>(crc >> 8));
 }
 
+void Deframer::push(std::span<const uint8_t> bytes) {
+  if (head_ != 0) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
 std::optional<Frame> Deframer::next() {
-  while (!buf_.empty()) {
-    if (buf_.front() != kFrameSync) {
-      buf_.pop_front();
-      ++skipped_;
+  Frame f;
+  if (!next(f)) return std::nullopt;
+  return f;
+}
+
+bool Deframer::next(Frame& out) {
+  while (head_ < buf_.size()) {
+    const uint8_t* p = buf_.data() + head_;
+    const size_t avail = buf_.size() - head_;
+    if (p[0] != kFrameSync) {
+      // Skip to the next sync byte (or past everything buffered).
+      const auto* sync =
+          static_cast<const uint8_t*>(std::memchr(p, kFrameSync, avail));
+      const size_t skip = sync ? static_cast<size_t>(sync - p) : avail;
+      head_ += skip;
+      skipped_ += skip;
       continue;
     }
-    if (buf_.size() < kFrameOverhead) return std::nullopt;  // need header
-    const uint8_t len = buf_[5];
+    if (avail < kFrameOverhead) return false;  // need header
+    const uint8_t len = p[5];
     if (len > kMaxPayload) {  // impossible length: lost sync
-      buf_.pop_front();
+      ++head_;
       ++skipped_;
       continue;
     }
     const size_t total = kFrameOverhead + len;
-    if (buf_.size() < total) return std::nullopt;  // frame still arriving
-    std::vector<uint8_t> body(buf_.begin() + 1, buf_.begin() + 6 + len);
+    if (avail < total) return false;  // frame still arriving
     const uint16_t want = static_cast<uint16_t>(
-        buf_[6 + len] | (static_cast<uint16_t>(buf_[7 + len]) << 8));
-    if (crc16_ccitt(body) != want) {
+        p[6 + len] | (static_cast<uint16_t>(p[7 + len]) << 8));
+    if (crc16_ccitt({p + 1, 5u + len}) != want) {
       ++crc_errors_;
-      buf_.pop_front();  // resync from the next byte
+      ++head_;  // resync from the next byte
       ++skipped_;
       continue;
     }
-    const uint8_t rawtype = body[0];
-    Frame f;
-    f.type = static_cast<FrameType>(rawtype);
-    f.version = body[1];
-    f.seq = static_cast<uint16_t>(body[2] | (static_cast<uint16_t>(body[3]) << 8));
-    f.payload.assign(body.begin() + 5, body.end());
-    buf_.erase(buf_.begin(), buf_.begin() + total);
+    const uint8_t rawtype = p[1];
+    head_ += total;
     if (rawtype < uint8_t(FrameType::Summary) ||
         rawtype > uint8_t(FrameType::Control)) {
       // CRC-valid but unknown type (future protocol revision): skip it.
       ++crc_errors_;
       continue;
     }
-    return f;
+    out.type = static_cast<FrameType>(rawtype);
+    out.version = p[2];
+    out.seq = static_cast<uint16_t>(p[3] | (static_cast<uint16_t>(p[4]) << 8));
+    out.payload.assign(p + 6, p + 6 + len);
+    return true;
   }
-  return std::nullopt;
+  return false;
+}
+
+size_t Deframer::need() const {
+  const size_t avail = buf_.size() - head_;
+  if (avail == 0) return kFrameOverhead;
+  const uint8_t* p = buf_.data() + head_;
+  if (p[0] != kFrameSync) return 0;
+  if (avail < kFrameOverhead) return kFrameOverhead - avail;
+  const uint8_t len = p[5];
+  if (len > kMaxPayload) return 0;
+  const size_t total = kFrameOverhead + len;
+  return avail < total ? total - avail : 0;
 }
 
 Frame make_summary(uint8_t version, const SummaryInfo& info) {

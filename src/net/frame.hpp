@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -58,16 +57,29 @@ void encode_frame_into(const Frame& f, std::vector<uint8_t>& out);
 // Streaming parser over the raw RX byte sequence.
 class Deframer {
  public:
-  void push(uint8_t byte) { buf_.push_back(byte); }
+  void push(uint8_t byte) { push(std::span<const uint8_t>(&byte, 1)); }
+  void push(std::span<const uint8_t> bytes);
   // Next complete, CRC-valid frame, or nullopt if more bytes are needed.
   // Invalid prefixes are skipped byte-by-byte (resync).
   std::optional<Frame> next();
+  // Same, filling `out` (its payload capacity is reused); false if more
+  // bytes are needed.
+  bool next(Frame& out);
+  // How many more bytes must be pushed before next() can decide anything
+  // (deliver a frame, or reject the head candidate on its CRC): the rest
+  // of the head candidate's header or body, kFrameOverhead when the buffer
+  // is empty, 0 when next() can already make progress. Never more than
+  // kFrameOverhead + kMaxPayload.
+  size_t need() const;
 
   uint64_t crc_errors() const { return crc_errors_; }
   uint64_t skipped_bytes() const { return skipped_; }
 
  private:
-  std::deque<uint8_t> buf_;
+  // Unconsumed bytes are buf_[head_, end); the consumed prefix is dropped
+  // on the next push.
+  std::vector<uint8_t> buf_;
+  size_t head_ = 0;
   uint64_t crc_errors_ = 0;
   uint64_t skipped_ = 0;
 };

@@ -52,11 +52,21 @@ bool Medium::in_outage(size_t from, size_t to, uint64_t at) const {
 // (half-duplex) or (b) completed first — with a (done, sender-id) total
 // order breaking exact ties. Purely a function of the deterministic
 // transmission schedule; consumes no randomness.
+//
+// Only log entries that can overlap are visited: a competitor ends at most
+// kMaxAirtime after it starts, so the scan begins at the first entry
+// starting after tx_start - kMaxAirtime and stops at the first one starting
+// at or after tx_done.
 bool Medium::collided(size_t from, size_t to, uint64_t tx_start,
                       uint64_t tx_done) const {
-  for (const TxRec& r : txlog_) {
+  const uint64_t earliest = tx_start > kMaxAirtime ? tx_start - kMaxAirtime : 0;
+  auto it = std::partition_point(
+      txlog_.begin(), txlog_.end(),
+      [earliest](const TxRec& r) { return r.start < earliest; });
+  for (; it != txlog_.end() && it->start < tx_done; ++it) {
+    const TxRec& r = *it;
     if (r.from == from) continue;  // own frames never overlap (serial radio)
-    if (r.start >= tx_done || tx_start >= r.done) continue;  // no overlap
+    if (tx_start >= r.done) continue;  // ended before this one started
     if (r.from == to) return true;  // receiver was itself transmitting
     if (!topo_.linked(r.from, to)) continue;  // inaudible at the receiver
     if (r.done < tx_done || (r.done == tx_done && r.from < from))
@@ -65,10 +75,21 @@ bool Medium::collided(size_t from, size_t to, uint64_t tx_start,
   return false;
 }
 
+void Medium::note_tx(size_t from, uint64_t start, uint64_t done) {
+  if (!topo_.mesh) return;
+  // Upper bound keeps equal starts in call order; an in-order note (the
+  // simulator's only kind) lands at the end.
+  const auto at = std::upper_bound(
+      txlog_.begin(), txlog_.end(), start,
+      [](uint64_t s, const TxRec& r) { return s < r.start; });
+  txlog_.insert(at, TxRec{from, start, done});
+}
+
 void Medium::flush(uint64_t now) {
+  flushed_to_.clear();
   auto it = pending_.begin();
   while (it != pending_.end() && it->first.first <= now) {
-    const Delivery& d = it->second;
+    Delivery& d = it->second;
     if (d.tx_done != 0 && collided(d.from, d.to, d.tx_start, d.tx_done)) {
       ++stats_.collisions;
       if (observer_)
@@ -76,20 +97,18 @@ void Medium::flush(uint64_t now) {
       it = pending_.erase(it);
       continue;
     }
-    devs_[d.to]->schedule_rx(d.bytes, it->first.first);
+    devs_[d.to]->schedule_rx(std::move(d.bytes), it->first.first);
+    flushed_to_.push_back(d.to);
     it = pending_.erase(it);
   }
   // Prune transmission-log entries far older than any delivery still in
   // flight can overlap (worst case: a reorder-delayed copy of a maximum-
   // length frame). Bounds the log; removal is purely time-based, so it
   // never changes a collision verdict.
-  if (!txlog_.empty()) {
-    const uint64_t horizon = 64ull * (kMaxPayload + kFrameOverhead) *
-                             DeviceHub::kCyclesPerRadioByte;
-    const uint64_t cutoff = now > horizon ? now - horizon : 0;
-    std::erase_if(txlog_,
-                  [cutoff](const TxRec& r) { return r.done < cutoff; });
-  }
+  const uint64_t horizon = 64ull * (kMaxPayload + kFrameOverhead) *
+                           DeviceHub::kCyclesPerRadioByte;
+  const uint64_t cutoff = now > horizon ? now - horizon : 0;
+  while (!txlog_.empty() && txlog_.front().done < cutoff) txlog_.pop_front();
 }
 
 void Medium::broadcast(size_t from, std::span<const uint8_t> packet,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -129,15 +130,23 @@ class Medium {
   // collision check at flush time complete knowledge of overlapping
   // transmissions — including ones that complete after the delivery being
   // checked (half-duplex: a receiver mid-transmission hears nothing).
-  // No-op without a mesh topology.
-  void note_tx(size_t from, uint64_t start, uint64_t done) {
-    if (topo_.mesh) txlog_.push_back({from, start, done});
-  }
+  // The log is kept in start order (the simulator notes transmissions as
+  // they start, so this is an append) and no window may be longer than
+  // kMaxAirtime: the collision check relies on both to scan only the
+  // entries that can overlap. No-op without a mesh topology.
+  void note_tx(size_t from, uint64_t start, uint64_t done);
+  // Longest transmission any node may put on the air (the simulator's
+  // hostile-packet ceiling; honest frames are shorter).
+  static constexpr uint64_t kMaxAirtime =
+      96 * uint64_t(emu::DeviceHub::kCyclesPerRadioByte);
 
   // Hand every delivery whose start time is <= `now` to its destination
   // radio, in (time, enqueue-order) order. Called once per simulation
   // quantum by the network simulator.
   void flush(uint64_t now);
+  // Receivers the last flush() handed bytes to, in delivery order
+  // (repeats possible).
+  const std::vector<size_t>& flushed_to() const { return flushed_to_; }
 
   const MediumStats& stats() const { return stats_; }
 
@@ -182,12 +191,14 @@ class Medium {
   // delivery is flushed at least one quantum after its transmission
   // completed, so by the time a delivery is checked the log holds every
   // transmission that completed at or before its own completion — exactly
-  // the competitors the capture rule consults.
+  // the competitors the capture rule consults. Entries are in start order,
+  // so pruning pops from the front.
   struct TxRec {
     size_t from;
     uint64_t start, done;
   };
-  std::vector<TxRec> txlog_;
+  std::deque<TxRec> txlog_;
+  std::vector<size_t> flushed_to_;
 };
 
 }  // namespace sensmart::net

@@ -16,7 +16,17 @@ using emu::DeviceHub;
 
 namespace {
 constexpr uint64_t kByte = DeviceHub::kCyclesPerRadioByte;
+constexpr uint64_t kNever = ~0ULL;
 constexpr size_t kMaxEarlyChunks = 4096;  // pre-summary chunk stash bound
+// Wake schedule invariant (DESIGN.md §9): a receiver is woken no later than
+// the arrival of the byte that can complete its deframer's head candidate,
+// so at most one whole frame's bytes land in its radio between two drains
+// — never enough to overrun the receive buffer.
+static_assert(kFrameOverhead + kMaxPayload < DeviceHub::kRxBufferCap);
+// First quantum edge at or after cycle c (quanta end on multiples of kByte).
+uint64_t quantum_at_or_after(uint64_t c) {
+  return c == kNever ? kNever : (c + kByte - 1) / kByte * kByte;
+}
 // PRNG stream tag for seeded node faults: a distinct stream from the
 // medium's, so enabling node faults never shifts the per-packet rolls.
 constexpr uint64_t kNodeFaultStream = 0x4E4F44454641ULL;  // "NODEFA"
@@ -74,6 +84,8 @@ struct NetSim::Base {
   // Liveness-granting frames honored per claimed node id (quota gate —
   // see ProtocolParams::node_liveness_quota). Unused while the quota is 0.
   std::vector<uint32_t> liveness_used;
+  std::vector<uint8_t> rx_scratch;  // received bytes, reused
+  Frame rx_frame;                   // deframed frame, reused
   BaseDissemStats stats;
 };
 
@@ -97,8 +109,11 @@ struct NetSim::Node {
   // the serial engine's base step ran before the node steps of the same
   // quantum, so the base's abandon-reason classification must see node
   // state as of the quantum start, not after this quantum's parallel step.
+  // Stamped with its quantum: a node not stepped in a quantum has not
+  // changed since its start, and is classified from its live state.
   bool snap_checksum_fail = false;
   bool snap_auth_fail = false;  // same snapshot for MAC rejections
+  uint64_t snap_at = 0;
   std::vector<uint16_t> nack_scratch;  // missing-chunk list, reused
   // Anti-wedge guard (DESIGN.md §11): cycle of the last transfer progress
   // (summary accepted or chunk stored). A conflicting Summary may only
@@ -395,18 +410,11 @@ void NetSim::send_frame(size_t node_id, const Frame& f) {
     ++base_->stats.frames_tx;
 }
 
-void NetSim::drain_rx(size_t node_id, Deframer& d) {
-  auto& dev = machines_[node_id]->dev();
-  for (;;) {
-    uint8_t avail = 0;
-    dev.io_access(emu::kRadioRxAvail, avail, false);
-    if (avail == 0) break;
-    for (uint8_t i = 0; i < avail; ++i) {
-      uint8_t b = 0;
-      dev.io_access(emu::kRadioRxData, b, false);
-      d.push(b);
-    }
-  }
+void NetSim::drain_rx(size_t node_id, Deframer& d,
+                      std::vector<uint8_t>& scratch) {
+  scratch.clear();
+  machines_[node_id]->dev().take_rx(scratch);
+  d.push(scratch);
 }
 
 void NetSim::send_data_frame(uint16_t seq, uint64_t now) {
@@ -594,8 +602,9 @@ void NetSim::on_base_frame(const Frame& f, uint64_t now) {
 }
 
 void NetSim::step_base(uint64_t now) {
-  drain_rx(0, base_->deframer);
-  while (auto f = base_->deframer.next()) on_base_frame(*f, now);
+  drain_rx(0, base_->deframer, base_->rx_scratch);
+  while (base_->deframer.next(base_->rx_frame))
+    on_base_frame(base_->rx_frame, now);
   if (rollout_phase_) {
     step_base_rollout(now);
     return;
@@ -662,16 +671,25 @@ void NetSim::step_base(uint64_t now) {
           continue;
         base_->abandoned[id] = true;
         ++base_->abandoned_count;
-        // Classify from the node's start-of-quantum snapshot: the serial
+        // Classify from the node's start-of-quantum state: the serial
         // engine's base step preceded this quantum's node steps, and the
-        // sharded engine's barrier order must reproduce its view.
+        // sharded engine's barrier order must reproduce its view. A node
+        // stepped this quantum answers from its snapshot; any other node
+        // has not changed since the quantum started.
         const Node& n = *nodes_[id - 1];
+        bool auth_fail = n.snap_auth_fail;
+        bool checksum_fail = n.snap_checksum_fail;
+        if (n.snap_at != now) {
+          const bool verified = machines_[id]->dev().image_store().verified;
+          auth_fail = n.stats.auth_rejects > 0 && !verified;
+          checksum_fail = n.stats.checksum_failures > 0 && !verified;
+        }
         NodeAbortReason reason = NodeAbortReason::TimedOut;
         if (!base_->heard[id])
           reason = NodeAbortReason::NeverHeard;
-        else if (n.snap_auth_fail)
+        else if (auth_fail)
           reason = NodeAbortReason::AuthFail;
-        else if (n.snap_checksum_fail)
+        else if (checksum_fail)
           reason = NodeAbortReason::ChecksumFail;
         record(now, 0, NetEventKind::NodeAbandoned,
                static_cast<uint32_t>(id), static_cast<uint32_t>(reason));
@@ -1297,19 +1315,10 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
 // captured over, and collides, like any other).
 void NetSim::step_hostile(Node& n, uint64_t now, ShardCtx& sc) {
   auto& dev = machines_[n.id]->dev();
-  for (;;) {
-    uint8_t avail = 0;
-    dev.io_access(emu::kRadioRxAvail, avail, false);
-    if (avail == 0) break;
-    hostile_rx_.clear();
-    for (uint8_t i = 0; i < avail; ++i) {
-      uint8_t b = 0;
-      dev.io_access(emu::kRadioRxData, b, false);
-      hostile_rx_.push_back(b);
-    }
-    if (hostile_) hostile_->observe(hostile_rx_);
-  }
+  hostile_rx_.clear();
+  dev.take_rx(hostile_rx_);
   if (!hostile_) return;
+  if (!hostile_rx_.empty()) hostile_->observe(hostile_rx_);
   uint8_t busy = 0;
   dev.io_access(emu::kRadioStatus, busy, false);
   if (busy & 1) return;  // even the attacker's radio serializes frames
@@ -1335,8 +1344,8 @@ void NetSim::step_node(size_t idx, uint64_t now, ShardCtx& sc) {
     step_hostile(n, now, sc);
     return;
   }
-  drain_rx(n.id, n.deframer);
-  while (auto f = n.deframer.next()) on_node_frame(n, *f, now, sc);
+  drain_rx(n.id, n.deframer, sc.rx_scratch);
+  while (n.deframer.next(sc.rx_frame)) on_node_frame(n, sc.rx_frame, now, sc);
   if (n.down) return;  // a Control-commanded activation reboot fired
   if (rollout_phase_) {
     step_node_rollout(n, now, sc);
@@ -1482,22 +1491,62 @@ void NetSim::node_lifecycle(size_t idx, uint64_t now, ShardCtx& sc) {
   }
 }
 
-// One shard's slice of a simulation quantum (the parallel phase): advance
-// the shard's devices to `t` (TX completions land in txbufs_), then run
-// each owned receiver's lifecycle + protocol step. Everything written here
-// is owned by this shard — node/device state of its own receivers, its
-// ShardCtx buffers, its machines' TX buffers — so shards never race.
+// One shard's slice of a simulation quantum (the parallel phase): for each
+// due receiver in the slice, advance its device to `t` (TX completions land
+// in txbufs_), run its lifecycle + protocol step, and schedule its next
+// wake. Everything written here is owned by this shard — node/device state
+// and wake slots of its own receivers, its ShardCtx buffers, its machines'
+// TX buffers — so shards never race.
 void NetSim::run_shard_quantum(ShardCtx& sc, uint64_t t) {
-  for (size_t id = sc.machine_begin; id < sc.machine_end; ++id)
-    machines_[id]->dev().sync(t);
-  for (size_t i = sc.node_begin; i < sc.node_end; ++i) {
+  for (size_t k = sc.due_begin; k < sc.due_end; ++k) {
+    const size_t i = due_[k];
     Node& n = *nodes_[i];
-    const emu::ImageStore& st = machines_[n.id]->dev().image_store();
-    n.snap_checksum_fail = n.stats.checksum_failures > 0 && !st.verified;
-    n.snap_auth_fail = n.stats.auth_rejects > 0 && !st.verified;
+    emu::DeviceHub& dev = machines_[n.id]->dev();
+    dev.sync(t);
+    const bool verified = dev.image_store().verified;
+    n.snap_checksum_fail = n.stats.checksum_failures > 0 && !verified;
+    n.snap_auth_fail = n.stats.auth_rejects > 0 && !verified;
+    n.snap_at = t;
     node_lifecycle(i, t, sc);
     if (!n.down) step_node(i, t, sc);
+    wake_at_[i] = next_wake(n, t);
   }
+}
+
+// Cycle at which received bytes can next let the deframer decide its head
+// frame candidate (kNever if too few bytes are buffered or in flight).
+uint64_t NetSim::rx_ready_at(const Node& n) const {
+  const auto at = machines_[n.id]->dev().rx_arrival(n.deframer.need());
+  return at ? *at : kNever;
+}
+
+// A star receiver acts observably only when (a) a received byte lets its
+// deframer decide the head frame candidate, (b) its Nack timer fires while
+// it is unverified, (c) its radio completes a transmission, or (d) it
+// powers up or crosses its next crash threshold (checked at the start of
+// the step after the chunk that crossed it). In any other quantum its step
+// is a no-op, so it sleeps until the first quantum edge at or after the
+// earliest of those. Mesh, hostile and rollout-phase nodes have no such
+// analysis: they wake every quantum.
+uint64_t NetSim::next_wake(const Node& n, uint64_t now) const {
+  const uint64_t next = now + kByte;
+  if (mesh_ || rollout_phase_ || n.id == cfg_.hostile_node) return next;
+  if (n.down) return std::max(next, quantum_at_or_after(n.up_at));
+  const emu::DeviceHub& dev = machines_[n.id]->dev();
+  const emu::ImageStore& st = dev.image_store();
+  if (!n.crash_plan.empty() && st.chunks_have >= n.crash_plan.front().at_chunks)
+    return next;
+  uint64_t at = rx_ready_at(n);
+  if (!st.verified) at = std::min(at, n.next_nack_at);
+  if (const auto done = dev.tx_done_at()) at = std::min(at, *done);
+  return std::max(next, quantum_at_or_after(at));
+}
+
+// Every receiver due in the next quantum (start of a run or of a phase
+// whose nodes the schedule above does not model).
+void NetSim::wake_all() {
+  std::fill(wake_at_.begin(), wake_at_.end(), 0);
+  next_wake_ = 0;
 }
 
 NodeAbortReason NetSim::abort_reason_of(const Node& n) const {
@@ -1509,13 +1558,12 @@ NodeAbortReason NetSim::abort_reason_of(const Node& n) const {
   return NodeAbortReason::TimedOut;
 }
 
-// Partition receivers into contiguous shards (DESIGN.md §9). Shard s
-// owns receiver indices [s*N/S, (s+1)*N/S) and syncs their machines;
-// shard 0 additionally syncs the base machine. Contiguity makes the
-// barrier merge a concatenation in shard order = node-id order.
-// Auto-sharding only pays off once each shard owns a meaningful slice:
-// below kMinNodesPerShard receivers per shard the quantum barrier costs
-// more than the parallel phase saves, so small fleets run serial.
+// Shard setup (DESIGN.md §9). Each quantum, shard s takes the slice
+// [s*D/S, (s+1)*D/S) of the D due receivers; contiguity makes the barrier
+// merge a concatenation in shard order = node-id order. Auto-sharding only
+// pays off once each shard owns a meaningful slice: below
+// kMinNodesPerShard receivers per shard the quantum barrier costs more
+// than the parallel phase saves, so small fleets run serial.
 void NetSim::setup_engine() {
   ran_ = true;
   const unsigned requested =
@@ -1525,14 +1573,10 @@ void NetSim::setup_engine() {
   const unsigned S = static_cast<unsigned>(std::max<size_t>(
       1, std::min<size_t>(requested, std::max<size_t>(cfg_.nodes, 1))));
   shards_.assign(S, ShardCtx{});
-  for (unsigned s = 0; s < S; ++s) {
-    ShardCtx& sc = shards_[s];
-    sc.node_begin = cfg_.nodes * s / S;
-    sc.node_end = cfg_.nodes * (s + 1) / S;
-    sc.machine_begin = s == 0 ? 0 : sc.node_begin + 1;
-    sc.machine_end = sc.node_end + 1;
-  }
   if (S > 1) pool_ = std::make_unique<host::WorkPool>(S);
+  wake_at_.assign(cfg_.nodes, 0);
+  due_.reserve(cfg_.nodes);
+  wake_all();
 }
 
 bool NetSim::loop_done() const {
@@ -1554,25 +1598,54 @@ bool NetSim::run_loop() {
     // this quantum is consumable before the next — shard stepping order
     // cannot leak causality).
     medium_.flush(t_);
+    // Fresh bytes can only bring a receiver's deframer deadline forward.
+    for (size_t to : medium_.flushed_to()) {
+      if (to == 0 || nodes_[to - 1]->down) continue;
+      const uint64_t at = quantum_at_or_after(rx_ready_at(*nodes_[to - 1]));
+      wake_at_[to - 1] = std::min(wake_at_[to - 1], at);
+      next_wake_ = std::min(next_wake_, at);
+    }
+    // Collect the due receivers; next_wake_ restarts as the minimum over
+    // the others and absorbs the due ones' new deadlines after their steps.
+    due_.clear();
+    if (t_ >= next_wake_) {
+      next_wake_ = kNever;
+      for (size_t i = 0; i < wake_at_.size(); ++i) {
+        if (wake_at_[i] <= t_)
+          due_.push_back(static_cast<uint32_t>(i));
+        else
+          next_wake_ = std::min(next_wake_, wake_at_[i]);
+      }
+    }
 
-    // Parallel phase: each shard advances its devices and steps its
-    // receivers, with every cross-node effect buffered shard-locally.
+    // Parallel phase: the base's device advances, then each shard steps
+    // its slice of the due receivers, with every cross-node effect
+    // buffered shard-locally. Slices run inline, in order, when there is
+    // nothing to split.
     phase_parallel_ = true;
-    if (pool_) {
+    machines_[0]->dev().sync(t_);
+    const size_t S = shards_.size();
+    for (size_t s = 0; s < S; ++s) {
+      shards_[s].due_begin = due_.size() * s / S;
+      shards_[s].due_end = due_.size() * (s + 1) / S;
+    }
+    if (pool_ && due_.size() > 1) {
       pool_->dispatch([this](unsigned s) {
         run_shard_quantum(shards_[s], t_);
       });
     } else {
-      run_shard_quantum(shards_[0], t_);
+      for (ShardCtx& sc : shards_) run_shard_quantum(sc, t_);
     }
     phase_parallel_ = false;
 
     // Barrier merge, reproducing the serial engine's exact per-quantum
     // order: (1) TX completions + their broadcasts in machine-id order
-    // (the medium's PRNG roll order), (2) the base's protocol step,
-    // (3) receiver trace events in node-id order, then the buffered
-    // outage windows (first consulted by next quantum's broadcasts).
-    for (size_t id = 0; id < machines_.size(); ++id) replay_tx(id);
+    // (the medium's PRNG roll order; only the base and the stepped
+    // receivers can have any), (2) the base's protocol step, (3) receiver
+    // trace events in node-id order, then the buffered outage windows
+    // (first consulted by next quantum's broadcasts).
+    replay_tx(0);
+    for (uint32_t i : due_) replay_tx(i + 1);
     if (mesh_) {
       // Merge this quantum's transmission starts (collision log + carrier
       // sense) before the base steps, so the base defers to node frames
@@ -1596,6 +1669,7 @@ bool NetSim::run_loop() {
       sc.outages.clear();
       sc.complete_delta = 0;
     }
+    for (uint32_t i : due_) next_wake_ = std::min(next_wake_, wake_at_[i]);
   }
   return true;
 }
@@ -1617,11 +1691,17 @@ void NetSim::finish_dissem(DisseminationResult& res, bool budget_exhausted) {
   res.aborted = !res.all_acked;
   res.cycles = t_;
   const uint64_t t = t_;
+  // Receivers the wake schedule left asleep have not synced their radios
+  // since their last step: bring every one to the last executed quantum so
+  // the received-byte counters cover it. No frame can complete in that
+  // catch-up (it would have woken the node), so its deframer is current.
+  const uint64_t last = budget_exhausted ? t_ - kByte : t_;
   res.medium = medium_.stats();
   res.nodes.resize(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     Node& n = *nodes_[i];
-    const auto& dev = machines_[n.id]->dev();
+    auto& dev = machines_[n.id]->dev();
+    dev.sync(last);
     const emu::ImageStore& st = dev.image_store();
     n.stats.crc_drops = n.deframer.crc_errors();
     n.stats.bytes_rx = dev.rx_delivered();
@@ -1682,6 +1762,7 @@ RolloutResult NetSim::rollout() {
   if (dissem_ok) {
     begin_rollout(t_);
     rollout_phase_ = true;
+    wake_all();
     const bool rollout_ok = run_loop();
     rollout_phase_ = false;
     rr.budget_exhausted = !rollout_ok;

@@ -11,7 +11,9 @@
 // out for installation.
 //
 // Determinism contract: the simulation advances all nodes in lockstep
-// quanta of one on-air byte time, steps nodes in id order, and draws every
+// quanta of one on-air byte time, steps the nodes due in each quantum in
+// id order (a receiver sleeps through quanta in which its step could not
+// change anything — the wake schedule of DESIGN.md §9), and draws every
 // random decision from one seeded PRNG inside Medium — a run (including
 // its full event trace and digest) is a pure function of (image bytes,
 // NetConfig). Replays are byte-identical, serial or under a parallel
@@ -432,6 +434,10 @@ class HostileModel {
 // legal frame (kFrameOverhead + kMaxPayload = 56) so length-lying attacks
 // fit, but bounded so one emit() cannot monopolize the air for a whole run.
 inline constexpr size_t kMaxHostilePacket = 96;
+static_assert(kFrameOverhead + kMaxPayload <= kMaxHostilePacket);
+// The medium's bounded collision scan assumes no transmission is longer.
+static_assert(Medium::kMaxAirtime ==
+              kMaxHostilePacket * emu::DeviceHub::kCyclesPerRadioByte);
 
 class NetSim {
  public:
@@ -484,11 +490,13 @@ class NetSim {
   // cross-node effect a receiver step produces — trace events, link-outage
   // windows, verified-store transitions — lands here instead of in shared
   // state, and is merged at the quantum barrier in shard order. Shards
-  // partition receivers contiguously, so shard order IS node-id order and
-  // the merged trace is byte-identical to the serial engine's.
+  // take contiguous slices of the quantum's due list, which is in id
+  // order, so shard order IS node-id order and the merged trace is
+  // byte-identical to the serial engine's.
   struct ShardCtx {
-    size_t node_begin = 0, node_end = 0;        // receiver index range
-    size_t machine_begin = 0, machine_end = 0;  // machines this shard syncs
+    size_t due_begin = 0, due_end = 0;  // slice of NetSim::due_
+    std::vector<uint8_t> rx_scratch;    // received bytes, reused
+    Frame rx_frame;                     // deframed frame, reused
     std::vector<NetTraceEvent> events;
     std::vector<LinkOutage> outages;
     // Mesh transmissions this shard's receivers started this quantum,
@@ -530,7 +538,7 @@ class NetSim {
               uint32_t b);
   void send_frame(size_t node_id, const Frame& f);
   void send_data_frame(uint16_t seq, uint64_t now);
-  void drain_rx(size_t node_id, Deframer& d);
+  void drain_rx(size_t node_id, Deframer& d, std::vector<uint8_t>& scratch);
   void plan_node_faults();
   void node_lifecycle(size_t idx, uint64_t now, ShardCtx& sc);
   void note_node_alive(size_t node_id);
@@ -545,6 +553,12 @@ class NetSim {
   void on_node_frame(Node& n, const Frame& f, uint64_t now, ShardCtx& sc);
   void node_send_nack(Node& n, uint64_t now, ShardCtx& sc);
   void run_shard_quantum(ShardCtx& sc, uint64_t t);
+  // Wake schedule (DESIGN.md §9): the first quantum after `now` at which
+  // receiver `n` must be stepped, and the cycle its deframer can next
+  // decide something from received bytes.
+  uint64_t next_wake(const Node& n, uint64_t now) const;
+  uint64_t rx_ready_at(const Node& n) const;
+  void wake_all();
   void deliver_tx(size_t id, std::span<const uint8_t> pkt, uint64_t done);
   void replay_tx(size_t id);
 
@@ -624,6 +638,13 @@ class NetSim {
   // worker pool for the parallel phase (lazily built by setup_engine).
   uint64_t t_ = 0;
   std::unique_ptr<host::WorkPool> pool_;
+  // Wake schedule (DESIGN.md §9): wake_at_[i] is the first quantum at which
+  // receiver index i must be stepped, next_wake_ the minimum over all of
+  // them, and due_ the receiver indices stepped in the current quantum, in
+  // id order.
+  std::vector<uint64_t> wake_at_;
+  uint64_t next_wake_ = 0;
+  std::vector<uint32_t> due_;
   // Staged rollout: orchestrator state (base-owned, touched only in the
   // serial step), scripted trial behaviors (read-only during the parallel
   // phase), and the fleet's currently-deployed image.

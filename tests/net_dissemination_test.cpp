@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "apps/treesearch.hpp"
+#include "chaos/prng.hpp"
 #include "host/parallel.hpp"
 #include "net/frame.hpp"
 #include "net/image_codec.hpp"
@@ -361,6 +363,75 @@ TEST(NetAdversarial, AbortedNodeNeverRunsAKernel) {
     EXPECT_FALSE(node.installed);
     EXPECT_EQ(node.run.tasks.size(), 0u);  // no kernel was ever constructed
   }
+}
+
+
+// Standard check values ("123456789"): CRC-16/CCITT-FALSE and CRC-32.
+TEST(NetFrame, CrcStandardCheckValues) {
+  const std::string check = "123456789";
+  const std::span<const uint8_t> bytes(
+      reinterpret_cast<const uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(net::crc16_ccitt(bytes), 0x29B1);
+  EXPECT_EQ(net::crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(net::crc16_ccitt({}), 0xFFFF);
+  EXPECT_EQ(net::crc32({}), 0u);
+}
+
+
+// Deframer::need() is the wake schedule's frame deadline: it must count
+// exactly the bytes after which next() can decide something, and no
+// decision may happen earlier.
+TEST(NetFrame, DeframerNeedCountsBytesToTheNextDecision) {
+  net::Deframer d;
+  EXPECT_EQ(d.need(), net::kFrameOverhead);
+  const auto bytes =
+      net::encode_frame({net::FrameType::Data, 1, 7, {1, 2, 3, 4, 5}});
+  d.push(std::span<const uint8_t>(bytes).first(3));
+  EXPECT_EQ(d.need(), net::kFrameOverhead - 3);
+  d.push(std::span<const uint8_t>(bytes).subspan(3, 5));
+  EXPECT_EQ(d.need(), bytes.size() - 8);
+  d.push(std::span<const uint8_t>(bytes).subspan(8));
+  EXPECT_EQ(d.need(), 0u);
+  ASSERT_TRUE(d.next());
+  EXPECT_EQ(d.need(), net::kFrameOverhead);
+  d.push(uint8_t{0x00});  // garbage: next() can drop it at once
+  EXPECT_EQ(d.need(), 0u);
+
+  // Property over a noisy stream: between decisions, feeding fewer than
+  // need() bytes never lets next() deliver or reject anything.
+  chaos::Prng r(0xDEF0);
+  std::vector<uint8_t> stream;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<uint8_t> payload(r.below(net::kMaxPayload + 1));
+    for (auto& b : payload) b = static_cast<uint8_t>(r.below(256));
+    auto f = net::encode_frame(
+        {net::FrameType::Data, 1, static_cast<uint16_t>(i), payload});
+    if (r.percent(20)) f[r.below(uint32_t(f.size()))] ^= 0x10;
+    if (r.percent(20)) f.resize(r.below(uint32_t(f.size())));
+    stream.insert(stream.end(), f.begin(), f.end());
+    for (uint32_t g = r.below(4); g > 0; --g)
+      stream.push_back(static_cast<uint8_t>(r.below(256)));
+  }
+  net::Deframer e;
+  size_t frames = 0, owed = e.need();
+  for (uint8_t b : stream) {
+    e.push(b);
+    const uint64_t errors = e.crc_errors();
+    bool decided = false;
+    while (e.next()) {
+      decided = true;
+      ++frames;
+    }
+    decided |= e.crc_errors() != errors;
+    if (owed > 1) {
+      EXPECT_FALSE(decided);
+    }
+    owed = decided || owed <= 1 ? e.need() : owed - 1;
+    ASSERT_GE(owed, 1u);
+    ASSERT_LE(owed, net::kFrameOverhead + net::kMaxPayload);
+  }
+  EXPECT_GT(frames, 100u);
+  EXPECT_GT(e.crc_errors(), 0u);
 }
 
 }  // namespace

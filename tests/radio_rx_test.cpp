@@ -278,5 +278,138 @@ TEST(RadioRx, SecondScheduleRxQueuesBehindPendingDelivery) {
             (std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04, 0x0A}));
 }
 
+// --- Packet-granular receive queue ------------------------------------------
+//
+// Deliveries in flight are held one entry per packet with a cursor into the
+// front one; these pin that every byte still arrives, is lost or is counted
+// exactly as a per-byte queue would have it.
+
+constexpr uint64_t kB = DeviceHub::kCyclesPerRadioByte;
+
+std::vector<uint8_t> seq_bytes(size_t n, uint8_t first) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(first + i);
+  return v;
+}
+
+// Reads `n` bytes through the RX data port, as a polling guest would.
+std::vector<uint8_t> read_port(DeviceHub& dev, size_t n) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t v = 0;
+    dev.io_access(kRadioRxData, v, false);
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST(RadioRx, ReadsStopMidPacketAndResumeOnLaterSync) {
+  Machine m;
+  DeviceHub& dev = m.dev();
+  const auto a = seq_bytes(6, 0x10);
+  const auto b = seq_bytes(3, 0x40);
+  dev.schedule_rx(a, 0);
+  dev.schedule_rx(b, 0);  // queues behind a: arrives at 7..9 byte times
+  dev.sync(3 * kB);
+  EXPECT_EQ(dev.rx_buffered(), 3u);
+  EXPECT_EQ(read_port(dev, 2), (std::vector<uint8_t>{0x10, 0x11}));
+  dev.sync(5 * kB);  // two more of a arrive behind the unread one
+  EXPECT_EQ(dev.rx_buffered(), 3u);
+  EXPECT_EQ(read_port(dev, 3), (std::vector<uint8_t>{0x12, 0x13, 0x14}));
+  dev.sync(8 * kB);  // a's last byte and b's first two
+  std::vector<uint8_t> got;
+  dev.take_rx(got);
+  EXPECT_EQ(got, (std::vector<uint8_t>{0x15, 0x40, 0x41}));
+  dev.sync(100 * kB);
+  got.clear();
+  dev.take_rx(got);
+  EXPECT_EQ(got, (std::vector<uint8_t>{0x42}));
+  EXPECT_EQ(dev.rx_delivered(), 9u);
+  EXPECT_EQ(dev.rx_overruns(), 0u);
+}
+
+TEST(RadioRx, SlowPollOverrunStraddlesPacketBoundary) {
+  // A 50-byte packet and a 30-byte one right behind it, polled too late:
+  // the buffer fills 14 bytes into the second packet and its next 6 bytes
+  // are lost; a partial read then makes room for the rest.
+  Machine m;
+  DeviceHub& dev = m.dev();
+  const auto a = seq_bytes(50, 0);
+  const auto b = seq_bytes(30, 100);
+  dev.schedule_rx(a, 0);
+  EXPECT_EQ(dev.schedule_rx(b, 0), 50 * kB);
+  dev.sync(70 * kB);  // 50 + 20 bytes have arrived, 64 fit
+  EXPECT_EQ(dev.rx_buffered(), DeviceHub::kRxBufferCap);
+  EXPECT_EQ(dev.rx_delivered(), 64u);
+  EXPECT_EQ(dev.rx_overruns(), 6u);
+  EXPECT_EQ(read_port(dev, 10), seq_bytes(10, 0));
+  dev.sync(80 * kB);  // b's last 10 bytes fill the 10 freed slots
+  EXPECT_EQ(dev.rx_delivered(), 74u);
+  EXPECT_EQ(dev.rx_overruns(), 6u);
+  std::vector<uint8_t> want = seq_bytes(40, 10);  // rest of a
+  for (uint8_t v : seq_bytes(14, 100)) want.push_back(v);  // b[0..14)
+  for (uint8_t v : seq_bytes(10, 120)) want.push_back(v);  // b[20..30)
+  std::vector<uint8_t> got;
+  dev.take_rx(got);
+  EXPECT_EQ(got, want);
+}
+
+TEST(RadioRx, NextEventIsTheNextUnreadByteMidPacket) {
+  Machine m;
+  DeviceHub& dev = m.dev();
+  const auto a = seq_bytes(5, 1);
+  dev.schedule_rx(a, 1000);
+  EXPECT_EQ(dev.next_event_after(0), std::optional<uint64_t>(1000 + kB));
+  dev.sync(1000 + 2 * kB + 7);
+  EXPECT_EQ(dev.next_event_after(1000 + 2 * kB + 7),
+            std::optional<uint64_t>(1000 + 3 * kB));
+  dev.sync(1000 + 5 * kB);
+  EXPECT_EQ(dev.next_event_after(1000 + 5 * kB), std::nullopt);
+}
+
+TEST(RadioRx, FlushMidPacketDropsBufferedAndInFlightBytes) {
+  Machine m;
+  DeviceHub& dev = m.dev();
+  dev.schedule_rx(seq_bytes(8, 1), 0);
+  dev.schedule_rx(seq_bytes(8, 50), 0);
+  dev.sync(3 * kB);
+  ASSERT_EQ(dev.rx_buffered(), 3u);
+  dev.flush_rx();
+  EXPECT_EQ(dev.rx_buffered(), 0u);
+  EXPECT_EQ(dev.rx_arrival(1), std::nullopt);
+  EXPECT_EQ(dev.next_event_after(3 * kB), std::nullopt);
+  dev.sync(40 * kB);
+  EXPECT_EQ(dev.rx_buffered(), 0u);
+  EXPECT_EQ(dev.rx_delivered(), 3u);  // counted when they arrived
+  // The serial-medium cursor was reset too: a new delivery starts on time.
+  EXPECT_EQ(dev.schedule_rx(seq_bytes(2, 9), 41 * kB), 41 * kB);
+  dev.sync(43 * kB);
+  std::vector<uint8_t> got;
+  dev.take_rx(got);
+  EXPECT_EQ(got, (std::vector<uint8_t>{9, 10}));
+}
+
+TEST(RadioRx, ArrivalOfTheKthUnreadByte) {
+  Machine m;
+  DeviceHub& dev = m.dev();
+  dev.schedule_rx(seq_bytes(4, 1), 0);        // arrives at 1..4 byte times
+  dev.schedule_rx(seq_bytes(3, 20), 10 * kB);  // idle gap: 11..13
+  EXPECT_EQ(dev.rx_arrival(4), std::optional<uint64_t>(4 * kB));
+  EXPECT_EQ(dev.rx_arrival(5), std::optional<uint64_t>(11 * kB));
+  dev.sync(2 * kB);
+  // Two bytes buffered (already readable) and five in flight.
+  EXPECT_EQ(dev.rx_arrival(1), std::optional<uint64_t>(2 * kB));
+  EXPECT_EQ(dev.rx_arrival(2), std::optional<uint64_t>(2 * kB));
+  EXPECT_EQ(dev.rx_arrival(3), std::optional<uint64_t>(3 * kB));
+  EXPECT_EQ(dev.rx_arrival(5), std::optional<uint64_t>(11 * kB));
+  EXPECT_EQ(dev.rx_arrival(7), std::optional<uint64_t>(13 * kB));
+  EXPECT_EQ(dev.rx_arrival(8), std::nullopt);
+  std::vector<uint8_t> got;
+  dev.take_rx(got);  // reading consumes the buffered bytes only
+  EXPECT_EQ(got, (std::vector<uint8_t>{1, 2}));
+  EXPECT_EQ(dev.rx_arrival(1), std::optional<uint64_t>(3 * kB));
+  EXPECT_EQ(dev.rx_arrival(5), std::optional<uint64_t>(13 * kB));
+}
+
 }  // namespace
 }  // namespace sensmart::emu
