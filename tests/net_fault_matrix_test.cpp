@@ -80,10 +80,17 @@ net::FaultPolicy cell_policy(FaultAction fault, Position pos,
   };
 }
 
+// gtest prints a Cell as a raw byte dump and ctest bakes that dump into the
+// test names, so the bytes between `fault` and `pos` are spelled out as
+// zeros: left as implicit padding they carry stack garbage and the names
+// change from one build to the next.
 struct Cell {
+  constexpr Cell(FaultAction f, Position p) : fault(f), pos(p) {}
   FaultAction fault;
+  uint8_t zero[3] = {};
   Position pos;
 };
+static_assert(sizeof(Cell) == 8);
 
 class NetFaultMatrix : public ::testing::TestWithParam<Cell> {};
 
