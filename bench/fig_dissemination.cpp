@@ -148,9 +148,8 @@ Cell run_cell(const std::vector<uint8_t>& blob, size_t nodes,
     cfg.topo.kind = kind;
     // Mesh end-games ride on relayed acks through a contended channel; a
     // straggler can outlive the star-tuned abandon bound, so the base
-    // never gives up. shards=0 exercises the auto-shard heuristic.
+    // never gives up.
     cfg.proto.node_give_up_probes = 0;
-    cfg.shards = 0;
     cfg.max_cycles = 64'000'000'000ULL;
   }
   net::NetSim sim(cfg, blob);
@@ -361,7 +360,6 @@ AdvCell run_adv_cell(const std::vector<uint8_t>& blob, net::TopologyKind kind,
   const uint16_t attacker_id = kind == net::TopologyKind::Star ? 3 : 5;
   if (kind != net::TopologyKind::Star) {
     cfg.topo.kind = kind;
-    cfg.shards = 0;
     // Honest mesh cells keep the convergence-matrix setting (never give
     // up: a distant mid-transfer node looks silent at the base). Attacked
     // cells need a finite abandon bound — the hostile node never Acks, so
@@ -561,7 +559,6 @@ RolloutCell run_rollout_cell(const std::vector<uint8_t>& new_blob,
   if (kind != net::TopologyKind::Star) {
     cfg.topo.kind = kind;
     cfg.proto.node_give_up_probes = 0;
-    cfg.shards = 0;
     cfg.max_cycles = 64'000'000'000ULL;
   }
   // Seeded lemons: the first trips the supervision gate mid-probation, the

@@ -1,24 +1,19 @@
-// Fleet-scaling benchmark for the sharded deterministic network engine
-// (DESIGN.md §9): for each (nodes, drop%) scenario, disseminate the
-// naturalized fig7 image to the whole fleet at several shard counts and
-// report wall-clock seconds, emulated cycles, the trace digest, and the
-// speedup relative to the serial (shards=1) engine. The digest and cycle
-// count are required to be byte-identical at every shard count — the bench
-// itself enforces it and exits nonzero on any divergence, so the matrix
-// doubles as the serial-vs-sharded conformance check at fleet scale.
+// Fleet-scaling benchmark for the deterministic network engine (DESIGN.md
+// §9): for each (topology, nodes, drop%) cell, disseminate the naturalized
+// fig7 image to the whole fleet once and report wall-clock seconds,
+// emulated cycles and the trace digest.
 //
 // A memory section quantifies fleet-wide image dedup: the per-node heap
 // bytes spent on flash + decode-cache images with lazy allocation and one
 // shared naturalized image adopted fleet-wide, against the historical
 // eager per-machine allocation. Peak process RSS (VmHWM) rides along.
 //
-// Wall seconds and speedup depend on the host (recorded as host_threads);
-// cycles and digests do not, so --gate compares only the deterministic
-// surface against the committed BENCH_fleet.json (2% cycle tolerance,
-// exact digest match) over a reduced matrix that stays CI-cheap.
+// Wall seconds depend on the host (recorded as host_threads); cycles and
+// digests do not, so --gate compares only the deterministic surface
+// against the committed BENCH_fleet.json (2% summed-cycle tolerance, exact
+// per-cell digest match) over a reduced matrix that stays CI-cheap.
 //
-//   fig_fleet [--smoke] [--jobs N] [--json PATH] [--gate BENCH.json]
-//             [--diff]
+//   fig_fleet [--smoke] [--json PATH] [--gate BENCH.json]
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -30,7 +25,6 @@
 #include <vector>
 
 #include "apps/treesearch.hpp"
-#include "host/parallel.hpp"
 #include "net/image_codec.hpp"
 #include "net/netsim.hpp"
 #include "sim/harness.hpp"
@@ -40,7 +34,6 @@ using namespace sensmart;
 namespace {
 
 constexpr uint64_t kChaosSeed = 0xF1EE7;
-constexpr unsigned kShardCounts[] = {1, 2, 4, 8};
 
 std::vector<uint8_t> fig7_image_blob() {
   std::vector<assembler::Image> images;
@@ -68,17 +61,20 @@ uint64_t peak_rss_kb() {
   return 0;
 }
 
+struct Scenario {
+  net::TopologyKind kind;
+  size_t nodes;
+  uint32_t drop;
+};
+
 struct FleetCell {
   const char* topo = "star";
   net::TopologyKind kind = net::TopologyKind::Star;
   size_t nodes = 0;
   uint32_t drop_pct = 0;
-  unsigned shards = 0;
   double wall_s = 0.0;
   uint64_t cycles = 0;
   uint64_t trace_digest = 0;
-  size_t complete = 0;
-  double speedup = 1.0;  // serial wall / this wall, same (nodes, drop)
 };
 
 const char* topo_name(net::TopologyKind k) {
@@ -93,22 +89,18 @@ const char* topo_name(net::TopologyKind k) {
 
 // One dissemination run, timed end to end (fleet construction included —
 // allocating 257 machines is part of what the lazy-image change pays for).
-FleetCell run_cell(const std::vector<uint8_t>& blob, size_t nodes,
-                   uint32_t drop_pct, unsigned shards,
-                   net::TopologyKind kind = net::TopologyKind::Star) {
+FleetCell run_cell(const std::vector<uint8_t>& blob, const Scenario& sc) {
   FleetCell c;
-  c.kind = kind;
-  c.topo = topo_name(kind);
-  c.nodes = nodes;
-  c.drop_pct = drop_pct;
-  c.shards = shards;
+  c.kind = sc.kind;
+  c.topo = topo_name(sc.kind);
+  c.nodes = sc.nodes;
+  c.drop_pct = sc.drop;
   net::NetConfig cfg;
-  cfg.nodes = nodes;
-  cfg.link.drop_pct = drop_pct;
+  cfg.nodes = sc.nodes;
+  cfg.link.drop_pct = sc.drop;
   cfg.chaos_seed = kChaosSeed;
   cfg.max_cycles = 64'000'000'000ULL;
-  cfg.shards = shards;
-  cfg.topo.kind = kind;
+  cfg.topo.kind = sc.kind;
   // At fleet scale, ack/probe collisions on the shared channel can push a
   // straggler past the default abandon bound even though it verified; the
   // bench requires full convergence, so the base never gives up.
@@ -121,42 +113,13 @@ FleetCell run_cell(const std::vector<uint8_t>& blob, size_t nodes,
                  .count();
   c.cycles = res.cycles;
   c.trace_digest = res.trace_digest;
-  c.complete = res.complete_nodes();
   if (!res.all_acked) {
-    std::cerr << "fig_fleet: topo=" << c.topo << " nodes=" << nodes
-              << " drop=" << drop_pct << "% shards=" << shards
-              << " did not converge (" << res.complete_nodes() << "/"
-              << nodes << " complete)\n";
+    std::cerr << "fig_fleet: topo=" << c.topo << " nodes=" << c.nodes
+              << " drop=" << c.drop_pct << "% did not converge ("
+              << res.complete_nodes() << "/" << c.nodes << " complete)\n";
     std::exit(1);
   }
   return c;
-}
-
-// Run every shard count for one (topology, nodes, drop) scenario and
-// require the deterministic surface to be invariant — for mesh scenarios
-// this includes the CSMA/collision schedule and all peer-served traffic,
-// whose cross-shard effects merge in canonical order at the quantum
-// barrier.
-std::vector<FleetCell> run_scenario(
-    const std::vector<uint8_t>& blob, size_t nodes, uint32_t drop_pct,
-    const std::vector<unsigned>& shard_list,
-    net::TopologyKind kind = net::TopologyKind::Star) {
-  std::vector<FleetCell> cells;
-  for (unsigned s : shard_list) {
-    cells.push_back(run_cell(blob, nodes, drop_pct, s, kind));
-    FleetCell& c = cells.back();
-    c.speedup = cells.front().wall_s / (c.wall_s > 0 ? c.wall_s : 1e-9);
-    if (c.cycles != cells.front().cycles ||
-        c.trace_digest != cells.front().trace_digest) {
-      std::cerr << "fig_fleet: DIVERGENCE at topo=" << c.topo
-                << " nodes=" << nodes << " drop=" << drop_pct
-                << "% shards=" << s << ": digest 0x" << std::hex
-                << c.trace_digest << " vs serial 0x"
-                << cells.front().trace_digest << std::dec << "\n";
-      std::exit(1);
-    }
-  }
-  return cells;
 }
 
 // --- Fleet image dedup accounting -------------------------------------------
@@ -173,8 +136,7 @@ struct MemoryReport {
   double reduction_pct = 0.0;
 };
 
-MemoryReport measure_dedup(const std::vector<uint8_t>& blob, size_t nodes,
-                           unsigned shards) {
+MemoryReport measure_dedup(const std::vector<uint8_t>& blob, size_t nodes) {
   MemoryReport m;
   m.nodes = nodes;
   m.eager_per_node =
@@ -185,7 +147,6 @@ MemoryReport measure_dedup(const std::vector<uint8_t>& blob, size_t nodes,
   cfg.nodes = nodes;
   cfg.chaos_seed = kChaosSeed;
   cfg.max_cycles = 64'000'000'000ULL;
-  cfg.shards = shards;
   cfg.proto.node_give_up_probes = 0;
   net::NetSim sim(cfg, blob);
   const net::DisseminationResult res = sim.disseminate();
@@ -209,10 +170,9 @@ MemoryReport measure_dedup(const std::vector<uint8_t>& blob, size_t nodes,
   return m;
 }
 
-uint64_t sum_serial_cycles(const std::vector<FleetCell>& cells) {
+uint64_t sum_cycles(const std::vector<FleetCell>& cells) {
   uint64_t t = 0;
-  for (const auto& c : cells)
-    if (c.shards == 1) t += c.cycles;
+  for (const auto& c : cells) t += c.cycles;
   return t;
 }
 
@@ -232,8 +192,7 @@ bool is_gate_cell(const FleetCell& c) {
 uint64_t gate_cycles(const std::vector<FleetCell>& cells) {
   uint64_t t = 0;
   for (const auto& c : cells)
-    if (c.shards == 1 && is_gate_cell(c) &&
-        c.kind == net::TopologyKind::Star)
+    if (is_gate_cell(c) && c.kind == net::TopologyKind::Star)
       t += c.cycles;
   return t;
 }
@@ -246,7 +205,7 @@ constexpr uint32_t kMeshGateDrop = 10;
 uint64_t mesh_gate_cycles(const std::vector<FleetCell>& cells) {
   uint64_t t = 0;
   for (const auto& c : cells)
-    if (c.shards == 1 && c.kind == net::TopologyKind::Grid &&
+    if (c.kind == net::TopologyKind::Grid &&
         c.nodes == kMeshGateNodes && c.drop_pct == kMeshGateDrop)
       t += c.cycles;
   return t;
@@ -255,7 +214,7 @@ uint64_t mesh_gate_cycles(const std::vector<FleetCell>& cells) {
 void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
                const std::vector<FleetCell>& cells, const MemoryReport& mem) {
   os << "{\n";
-  os << "  \"schema\": \"sensmart.bench.fleet/1\",\n";
+  os << "  \"schema\": \"sensmart.bench.fleet/2\",\n";
   os << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
   os << "  \"chaos_seed\": " << kChaosSeed << ",\n";
   os << "  \"image_bytes\": " << image_bytes << ",\n";
@@ -265,10 +224,8 @@ void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
   for (size_t i = 0; i < cells.size(); ++i) {
     const FleetCell& c = cells[i];
     os << "    {\"topology\": \"" << c.topo << "\", \"nodes\": " << c.nodes
-       << ", \"drop_pct\": " << c.drop_pct
-       << ", \"shards\": " << c.shards << ", \"wall_s\": "
-       << sim::Table::num(c.wall_s, 3) << ", \"speedup\": "
-       << sim::Table::num(c.speedup, 2) << ", \"cycles\": " << c.cycles
+       << ", \"drop_pct\": " << c.drop_pct << ", \"wall_s\": "
+       << sim::Table::num(c.wall_s, 3) << ", \"cycles\": " << c.cycles
        << ", \"trace_digest\": " << c.trace_digest << "}"
        << (i + 1 < cells.size() ? "," : "") << "\n";
   }
@@ -284,27 +241,39 @@ void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
      << "\n";
   os << "  },\n";
   // The deterministic regression surface (--gate compares this): summed
-  // serial cycles over the gate matrix, which is shard-invariant.
+  // cycles over the gate matrix.
   os << "  \"guest\": {\n";
   os << "    \"gate_cycles\": " << gate_cycles(cells) << ",\n";
   os << "    \"mesh_gate_cycles\": " << mesh_gate_cycles(cells) << ",\n";
-  os << "    \"total_serial_cycles\": " << sum_serial_cycles(cells) << "\n";
+  os << "    \"total_cycles\": " << sum_cycles(cells) << "\n";
   os << "  }\n";
   os << "}\n";
 }
 
-uint64_t committed_u64(const std::string& path, const std::string& name) {
+std::string read_text(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return 0;
   std::ostringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
-  size_t at = text.find("\"guest\"");
+  return ss.str();
+}
+
+// A number in the committed JSON: the first `"key": ` at or after `from`
+// (0 when absent).
+uint64_t committed_u64(const std::string& text, size_t from,
+                       const std::string& key) {
+  if (from == std::string::npos) return 0;
+  const std::string k = "\"" + key + "\": ";
+  const size_t at = text.find(k, from);
   if (at == std::string::npos) return 0;
-  const std::string key = "\"" + name + "\": ";
-  at = text.find(key, at);
-  if (at == std::string::npos) return 0;
-  return std::strtoull(text.c_str() + at + key.size(), nullptr, 10);
+  return std::strtoull(text.c_str() + at + k.size(), nullptr, 10);
+}
+
+// The committed trace digest of the cell with c's (topology, nodes, drop).
+uint64_t committed_digest(const std::string& text, const FleetCell& c) {
+  std::ostringstream key;
+  key << "{\"topology\": \"" << c.topo << "\", \"nodes\": " << c.nodes
+      << ", \"drop_pct\": " << c.drop_pct << ",";
+  return committed_u64(text, text.find(key.str()), "trace_digest");
 }
 
 bool check_drift(const char* what, uint64_t current, uint64_t committed) {
@@ -317,53 +286,59 @@ bool check_drift(const char* what, uint64_t current, uint64_t committed) {
   return drift <= kTolerance && drift >= -kTolerance;
 }
 
-// CI regression gate: recompute the gate matrix (star and mesh) serial
-// and sharded; fail on >2% summed-cycle drift against the committed
-// BENCH_fleet.json or on any serial-vs-sharded digest mismatch.
+// The gate scenarios (star and mesh): always run, they define
+// gate_cycles / mesh_gate_cycles.
+std::vector<Scenario> gate_scenarios() {
+  std::vector<Scenario> v;
+  for (size_t n : kGateNodes)
+    for (uint32_t d : kGateDrops) v.push_back({net::TopologyKind::Star, n, d});
+  v.push_back({net::TopologyKind::Grid, kMeshGateNodes, kMeshGateDrop});
+  return v;
+}
+
+std::vector<FleetCell> run_cells(const std::vector<uint8_t>& blob,
+                                 const std::vector<Scenario>& scenarios) {
+  std::vector<FleetCell> cells;
+  for (const Scenario& sc : scenarios) cells.push_back(run_cell(blob, sc));
+  return cells;
+}
+
+// CI regression gate: recompute the gate matrix (star and mesh); fail on
+// any cell whose trace digest differs from the committed BENCH_fleet.json
+// or on >2% summed-cycle drift against it.
 int run_gate(const std::string& path) {
-  const uint64_t committed = committed_u64(path, "gate_cycles");
-  const uint64_t committed_mesh = committed_u64(path, "mesh_gate_cycles");
+  const std::string text = read_text(path);
+  const size_t guest = text.find("\"guest\"");
+  const uint64_t committed = committed_u64(text, guest, "gate_cycles");
+  const uint64_t committed_mesh =
+      committed_u64(text, guest, "mesh_gate_cycles");
   if (committed == 0 || committed_mesh == 0) {
     std::cerr << "fig_fleet: no committed gate_cycles / mesh_gate_cycles in "
               << path << "\n";
     return 2;
   }
-  const auto blob = fig7_image_blob();
-  uint64_t current = 0;
-  for (size_t n : kGateNodes)
-    for (uint32_t d : kGateDrops) {
-      const auto cells = run_scenario(blob, n, d, {1, 4});  // enforces digest
-      current += sum_serial_cycles(cells);
-    }
-  const auto mesh = run_scenario(blob, kMeshGateNodes, kMeshGateDrop, {1, 4},
-                                 net::TopologyKind::Grid);
-  bool ok = check_drift("star", current, committed);
-  ok &= check_drift("mesh", sum_serial_cycles(mesh), committed_mesh);
+  const auto cells = run_cells(fig7_image_blob(), gate_scenarios());
+  bool ok = true;
+  for (const FleetCell& c : cells) {
+    const uint64_t want = committed_digest(text, c);
+    if (c.trace_digest == want) continue;
+    std::cerr << "fig_fleet: digest mismatch at topo=" << c.topo
+              << " nodes=" << c.nodes << " drop=" << c.drop_pct
+              << "%: 0x" << std::hex << c.trace_digest << " vs committed 0x"
+              << want << std::dec << "\n";
+    ok = false;
+  }
+  ok &= check_drift("star", gate_cycles(cells), committed);
+  ok &= check_drift("mesh", mesh_gate_cycles(cells), committed_mesh);
   if (!ok) {
-    std::cerr << "fig_fleet: FAIL — fleet dissemination cost drifted beyond "
-                 "2%; if the engine change is intentional, refresh "
-                 "BENCH_fleet.json in the same commit\n";
+    std::cerr << "fig_fleet: FAIL — fleet dissemination drifted from the "
+                 "committed digests or by more than 2% in cycles; if the "
+                 "engine change is intentional, refresh BENCH_fleet.json in "
+                 "the same commit\n";
     return 1;
   }
-  std::cout << "fleet gate: OK (digests serial == sharded, star and mesh)\n";
-  return 0;
-}
-
-// Serial-vs-sharded diff for CI: one mid-size star scenario and one mesh
-// grid (multi-hop, collisions, peer serving) at every shard count; exits
-// nonzero (inside run_scenario) on any divergence.
-int run_diff() {
-  const auto blob = fig7_image_blob();
-  const std::vector<unsigned> all = {kShardCounts, std::end(kShardCounts)};
-  const auto cells = run_scenario(blob, 16, 10, all);
-  std::cout << "fleet diff: star nodes=16 drop=10% digest 0x" << std::hex
-            << cells.front().trace_digest << std::dec
-            << " identical at shards {1, 2, 4, 8}\n";
-  const auto mesh =
-      run_scenario(blob, 24, 10, all, net::TopologyKind::Grid);
-  std::cout << "fleet diff: grid nodes=24 drop=10% digest 0x" << std::hex
-            << mesh.front().trace_digest << std::dec
-            << " identical at shards {1, 2, 4, 8}\n";
+  std::cout << "fleet gate: OK (every gate-cell digest matches, star and "
+               "mesh)\n";
   return 0;
 }
 
@@ -373,75 +348,44 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_fleet.json";
   std::string gate_path;
-  bool diff = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      ++i;  // accepted for CLI symmetry; cells time internal parallelism,
-            // so the scenario loop itself always runs serially
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc) {
       gate_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--diff") == 0) {
-      diff = true;
     } else {
-      std::cerr << "usage: fig_fleet [--smoke] [--jobs N] [--json PATH] "
-                   "[--gate BENCH.json] [--diff]\n";
+      std::cerr << "usage: fig_fleet [--smoke] [--json PATH] "
+                   "[--gate BENCH.json]\n";
       return 2;
     }
   }
   if (!gate_path.empty()) return run_gate(gate_path);
-  if (diff) return run_diff();
 
   const auto blob = fig7_image_blob();
-  const std::vector<unsigned> shard_list(kShardCounts,
-                                         std::end(kShardCounts));
-
-  // The gate scenarios (star and mesh) are always present — they define
-  // gate_cycles / mesh_gate_cycles; the full run adds the fleet-scale
-  // scenarios the speedup story is about plus a large mesh grid.
-  struct Scenario {
-    net::TopologyKind kind;
-    size_t nodes;
-    uint32_t drop;
-  };
-  std::vector<Scenario> scenarios;
-  for (size_t n : kGateNodes)
-    for (uint32_t d : kGateDrops)
-      scenarios.push_back({net::TopologyKind::Star, n, d});
-  scenarios.push_back(
-      {net::TopologyKind::Grid, kMeshGateNodes, kMeshGateDrop});
+  // The full run adds the fleet-scale scenarios plus a large mesh grid.
+  std::vector<Scenario> scenarios = gate_scenarios();
   if (!smoke) {
     scenarios.push_back({net::TopologyKind::Star, 64, 10});
     scenarios.push_back({net::TopologyKind::Star, 256, 10});
     scenarios.push_back({net::TopologyKind::Grid, 64, 10});
   }
-
-  std::vector<FleetCell> cells;
-  for (const auto& sc_spec : scenarios) {
-    const auto sc = run_scenario(blob, sc_spec.nodes, sc_spec.drop,
-                                 shard_list, sc_spec.kind);
-    cells.insert(cells.end(), sc.begin(), sc.end());
-  }
+  const std::vector<FleetCell> cells = run_cells(blob, scenarios);
   const MemoryReport mem =
-      measure_dedup(blob, smoke ? size_t(16) : size_t(256), 8);
+      measure_dedup(blob, smoke ? size_t(16) : size_t(256));
 
-  std::cout << "Fleet dissemination across shard counts ("
-            << blob.size() << "-byte image, seed 0x" << std::hex << kChaosSeed
-            << std::dec << ", host_threads="
-            << std::thread::hardware_concurrency() << ")\n\n";
-  sim::Table t({"Topo", "Nodes", "Drop%", "Shards", "Wall(s)", "Speedup",
-                "Gcycles", "Digest"},
-               11);
+  std::cout << "Fleet dissemination (" << blob.size()
+            << "-byte image, seed 0x" << std::hex << kChaosSeed << std::dec
+            << ", host_threads=" << std::thread::hardware_concurrency()
+            << ")\n\n";
+  sim::Table t({"Topo", "Nodes", "Drop%", "Wall(s)", "Gcycles", "Digest"}, 11);
   for (const FleetCell& c : cells) {
     std::ostringstream dg;
     dg << std::hex << (c.trace_digest >> 48);
     t.row({c.topo, sim::Table::num(uint64_t(c.nodes)),
            sim::Table::num(uint64_t(c.drop_pct)),
-           sim::Table::num(uint64_t(c.shards)),
-           sim::Table::num(c.wall_s, 2), sim::Table::num(c.speedup, 2),
+           sim::Table::num(c.wall_s, 2),
            sim::Table::num(double(c.cycles) / 1e9, 2), dg.str() + ".."});
   }
   t.print();
@@ -450,9 +394,7 @@ int main(int argc, char** argv) {
             << sim::Table::num(mem.per_node / 1024.0, 1)
             << " KiB/node shared (" << sim::Table::num(mem.reduction_pct, 1)
             << "% reduction; one " << mem.shared_bytes / 1024
-            << " KiB image fleet-wide)\n"
-            << "Speedup scales with host cores (digests and cycles do not\n"
-               "change with shard count — that is the engine's contract).\n";
+            << " KiB image fleet-wide)\n";
 
   std::ofstream js(json_path);
   if (!js) {

@@ -225,7 +225,6 @@ NetChaosResult run_net_chaos(const NetChaosOptions& opts) {
   cfg.nodes = 2 + r.below(4);  // 2..5 receivers
   cfg.chaos_seed = opts.seed;
   cfg.max_cycles = opts.max_cycles;
-  cfg.shards = opts.shards;  // never consulted by the planner PRNG
   cfg.link.drop_pct = r.below(21);
   cfg.link.dup_pct = r.below(6);
   cfg.link.reorder_pct = r.below(6);

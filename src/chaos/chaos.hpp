@@ -60,10 +60,6 @@ ChaosResult run_chaos(const ChaosOptions& opts);
 struct NetChaosOptions {
   uint64_t seed = 1;
   uint64_t max_cycles = 6'000'000'000ULL;
-  // Shard workers for the intra-network parallel engine (NetConfig::
-  // shards). Any value must reproduce the serial run byte-identically —
-  // the replay oracle below enforces it when tests sweep shard counts.
-  unsigned shards = 1;
   // Force the adversarial dimension on (normally ~1 in 4 seeds draws a
   // hostile node). Forcing does not shift the planner stream: the
   // adversarial draws are unconditional, this only overrides the roll.

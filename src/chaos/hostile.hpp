@@ -24,8 +24,7 @@
 //   collide      transmit over a busy channel (mesh capture collisions)
 //
 // Everything is a pure function of (profile, overheard bytes): adversarial
-// runs replay byte-identically by seed and are shard-invariant, exactly
-// like honest ones.
+// runs replay byte-identically by seed, exactly like honest ones.
 #pragma once
 
 #include <cstdint>

@@ -51,73 +51,4 @@ void sweep_indexed(std::size_t n, unsigned jobs,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-namespace {
-// Parked workers spin briefly before yielding: the sharded engine
-// dispatches at quantum granularity (tens of microseconds of work), so the
-// next epoch usually arrives within the spin window and the wake-up stays
-// off the scheduler.
-constexpr int kSpinsBeforeYield = 4096;
-
-template <typename Pred>
-void spin_until(Pred&& ready) {
-  for (int spins = 0; !ready(); ++spins)
-    if (spins >= kSpinsBeforeYield) std::this_thread::yield();
-}
-}  // namespace
-
-WorkPool::WorkPool(unsigned workers) : workers_(workers == 0 ? 1 : workers) {
-  threads_.reserve(workers_ - 1);
-  for (unsigned w = 1; w < workers_; ++w)
-    threads_.emplace_back([this, w] { park_loop(w); });
-}
-
-WorkPool::~WorkPool() {
-  stop_.store(true, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  for (std::thread& t : threads_) t.join();
-}
-
-void WorkPool::park_loop(unsigned w) {
-  uint64_t seen = 0;
-  for (;;) {
-    spin_until([&] { return epoch_.load(std::memory_order_acquire) != seen; });
-    seen = epoch_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    try {
-      (*fn_)(w);
-    } catch (...) {
-      // First error wins; losers just drop theirs (the run is aborting).
-      if (!has_error_.exchange(true, std::memory_order_acq_rel))
-        error_ = std::current_exception();
-    }
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void WorkPool::dispatch(const std::function<void(unsigned)>& fn) {
-  if (workers_ == 1) {
-    fn(0);
-    return;
-  }
-  fn_ = &fn;
-  done_.store(0, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  try {
-    fn(0);
-  } catch (...) {
-    if (!has_error_.exchange(true, std::memory_order_acq_rel))
-      error_ = std::current_exception();
-  }
-  spin_until([&] {
-    return done_.load(std::memory_order_acquire) == workers_ - 1;
-  });
-  fn_ = nullptr;
-  if (has_error_.load(std::memory_order_acquire)) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    has_error_.store(false, std::memory_order_release);
-    if (e) std::rethrow_exception(e);
-  }
-}
-
 }  // namespace sensmart::host

@@ -1,4 +1,5 @@
-// Deterministic parallel sweep runner for host-side experiment harnesses.
+// Deterministic parallel sweep runner for host-side experiment harnesses —
+// the only threads in the repo (the network engine is serial; DESIGN.md §9).
 //
 // Every sweep in this repo (chaos soak seeds, figure-bench configuration
 // rows) is a map over an index range where each item is an independent,
@@ -15,13 +16,9 @@
 // inside the item), so any pure run_*() harness call qualifies.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace sensmart::host {
@@ -52,45 +49,5 @@ std::vector<R> sweep_collect(std::size_t n, unsigned jobs, Fn&& fn) {
   sweep_indexed(n, jobs, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
-
-// Persistent fork/join pool for bulk-synchronous inner loops (the sharded
-// NetSim engine dispatches once per simulation quantum, hundreds of
-// thousands of times per run — sweep_indexed's spawn-per-call threads would
-// dominate the work). Workers park on an epoch counter; dispatch() bumps
-// the epoch, runs span 0 on the calling thread, and spin-waits (with a
-// yield fallback) until every worker has finished its span. All
-// synchronization is acquire/release on the epoch/done atomics, so writes
-// made by the caller before dispatch() are visible to every span, and
-// writes made by any span are visible to the caller after dispatch()
-// returns — the pool itself introduces no data races to instrument.
-class WorkPool {
- public:
-  // `workers` total spans per dispatch, including the calling thread
-  // (clamped to >= 1); workers-1 threads are spawned and parked.
-  explicit WorkPool(unsigned workers);
-  ~WorkPool();
-
-  WorkPool(const WorkPool&) = delete;
-  WorkPool& operator=(const WorkPool&) = delete;
-
-  unsigned workers() const { return workers_; }
-
-  // Run fn(w) for every w in [0, workers) and block until all spans
-  // returned. The calling thread executes span 0. The first exception
-  // thrown by any span is rethrown here after the join. Not reentrant.
-  void dispatch(const std::function<void(unsigned)>& fn);
-
- private:
-  void park_loop(unsigned w);
-
-  unsigned workers_ = 1;
-  std::vector<std::thread> threads_;
-  const std::function<void(unsigned)>* fn_ = nullptr;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<unsigned> done_{0};
-  std::atomic<bool> stop_{false};
-  std::exception_ptr error_;
-  std::atomic<bool> has_error_{false};
-};
 
 }  // namespace sensmart::host

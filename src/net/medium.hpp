@@ -126,7 +126,7 @@ class Medium {
 
   // Mesh only: register a transmission's airtime window [start, done) the
   // moment it starts. The simulator calls this for every mesh frame it
-  // puts on the air (in its canonical barrier order), giving the
+  // puts on the air (in its canonical quantum order), giving the
   // collision check at flush time complete knowledge of overlapping
   // transmissions — including ones that complete after the delivery being
   // checked (half-duplex: a receiver mid-transmission hears nothing).
@@ -186,8 +186,8 @@ class Medium {
   std::map<std::pair<uint64_t, uint64_t>, Delivery> pending_;
   uint64_t enqueue_seq_ = 0;
   // Mesh transmission log for collision resolution. Broadcasts reach the
-  // medium in a canonical deterministic order (the sharded engine replays
-  // TX completions at its quantum barrier in machine-id order), and every
+  // medium in a canonical deterministic order (the engine fires TX
+  // completions in machine-id order within each quantum), and every
   // delivery is flushed at least one quantum after its transmission
   // completed, so by the time a delivery is checked the log holds every
   // transmission that completed at or before its own completion — exactly

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "emu/io_map.hpp"
-#include "host/parallel.hpp"
 
 namespace sensmart::net {
 
@@ -39,8 +38,8 @@ constexpr uint64_t kCsmaGuard = 2 * kByte;
 // phase offset in byte-times. In a fully deterministic simulation two
 // nodes whose backoffs hit the same cap would otherwise collide in the
 // exact same pattern forever; hashing the attempt number decorrelates the
-// phases without consuming the medium's PRNG stream (shard-invariant,
-// star traces untouched).
+// phases without consuming the medium's PRNG stream (star traces
+// untouched).
 uint64_t mesh_jitter(uint16_t id, uint64_t attempt) {
   uint64_t z =
       (uint64_t(id) << 32) ^ attempt ^ 0x9E3779B97F4A7C15ULL;
@@ -84,8 +83,6 @@ struct NetSim::Base {
   // Liveness-granting frames honored per claimed node id (quota gate —
   // see ProtocolParams::node_liveness_quota). Unused while the quota is 0.
   std::vector<uint32_t> liveness_used;
-  std::vector<uint8_t> rx_scratch;  // received bytes, reused
-  Frame rx_frame;                   // deframed frame, reused
   BaseDissemStats stats;
 };
 
@@ -105,16 +102,6 @@ struct NetSim::Node {
   std::deque<NodeCrash> crash_plan;
   bool down = false;
   uint64_t up_at = 0;
-  // Start-of-quantum snapshot of "assembled image kept failing its CRC":
-  // the serial engine's base step ran before the node steps of the same
-  // quantum, so the base's abandon-reason classification must see node
-  // state as of the quantum start, not after this quantum's parallel step.
-  // Stamped with its quantum: a node not stepped in a quantum has not
-  // changed since its start, and is classified from its live state.
-  bool snap_checksum_fail = false;
-  bool snap_auth_fail = false;  // same snapshot for MAC rejections
-  uint64_t snap_at = 0;
-  std::vector<uint16_t> nack_scratch;  // missing-chunk list, reused
   // Anti-wedge guard (DESIGN.md §11): cycle of the last transfer progress
   // (summary accepted or chunk stored). A conflicting Summary may only
   // displace a live partial transfer after a full backed-off Nack period
@@ -147,7 +134,6 @@ struct NetSim::Node {
   bool summary_relay_pending = false;
   uint64_t summary_relay_at = 0;       // staggered send-not-before cycle
   uint64_t last_summary_relay_at = 0;  // rate limit (summary_relay_min)
-  Frame serve_scratch;                 // peer-served Data frame, reused
   // --- Staged-rollout state (DESIGN.md §12) — volatile, like everything
   // else here: what the trial did to the flash lives in the persistent
   // ImageStore (slot states, trial flags, rollback_report_pending), and
@@ -175,9 +161,8 @@ struct NetSim::Node {
   NodeDissemStats stats;
 };
 
-// Base-side rollout orchestrator state (DESIGN.md §12). Owned by the
-// serial base step — never touched during the parallel phase — so it
-// needs no sharding discipline beyond living behind the barrier.
+// Base-side rollout orchestrator state (DESIGN.md §12), touched only by
+// the base step.
 struct NetSim::Rollout {
   // Per-member state machine. Activating -> (clean report) AwaitConfirm ->
   // (confirmed report) Confirmed; any failure report lands in Failed; a
@@ -246,27 +231,17 @@ NetSim::NetSim(NetConfig cfg, std::vector<uint8_t> image_blob)
     medium_.set_topology(
         build_topology(cfg_.topo, cfg_.nodes + 1, cfg_.chaos_seed));
   air_busy_until_.assign(cfg_.nodes + 1, 0);
+  wake_at_.assign(cfg_.nodes, 0);  // every receiver due in the first quantum
 
   machines_.reserve(cfg_.nodes + 1);
-  txbufs_.resize(cfg_.nodes + 1);
-  encode_scratch_.resize(cfg_.nodes + 1);
-  for (size_t i = 0; i <= cfg_.nodes; ++i) {
+  for (size_t id = 0; id <= cfg_.nodes; ++id) {
     machines_.push_back(std::make_unique<emu::Machine>());
     medium_.attach(&machines_.back()->dev());
-    const size_t id = i;
-    // During the parallel phase a completion is buffered (the medium and
-    // the trace are shared state); it is replayed at the quantum barrier
-    // in machine-id order, which is exactly when and in what order the
-    // serial engine's per-machine sync loop would have fired it.
+    // A completion fires from DeviceHub::sync, which the quantum loop
+    // calls in machine-id order: that order is the medium's PRNG roll
+    // order and the trace order of TX events.
     machines_.back()->dev().set_tx_sink(
         [this, id](std::span<const uint8_t> pkt, uint64_t done) {
-          if (phase_parallel_) {
-            TxBuf& tb = txbufs_[id];
-            tb.recs.push_back({static_cast<uint32_t>(tb.bytes.size()),
-                               static_cast<uint32_t>(pkt.size()), done});
-            tb.bytes.insert(tb.bytes.end(), pkt.begin(), pkt.end());
-            return;
-          }
           deliver_tx(id, pkt, done);
         });
   }
@@ -384,23 +359,10 @@ void NetSim::deliver_tx(size_t id, std::span<const uint8_t> pkt,
   medium_.broadcast(id, pkt, done);
 }
 
-void NetSim::replay_tx(size_t id) {
-  TxBuf& tb = txbufs_[id];
-  for (const TxBuf::Rec& r : tb.recs)
-    deliver_tx(id,
-               std::span<const uint8_t>(tb.bytes.data() + r.off, r.len),
-               r.done);
-  tb.clear();
-}
-
 void NetSim::send_frame(size_t node_id, const Frame& f) {
   auto& dev = machines_[node_id]->dev();
-  // Per-machine scratch: the encode buffer is written only by the owner
-  // of node_id (its shard, or the serial base step), so reuse is both
-  // allocation-free and race-free.
-  std::vector<uint8_t>& bytes = encode_scratch_[node_id];
-  encode_frame_into(f, bytes);
-  for (uint8_t b : bytes) {
+  encode_frame_into(f, encode_scratch_);
+  for (uint8_t b : encode_scratch_) {
     uint8_t v = b;
     dev.io_access(emu::kRadioData, v, true);
   }
@@ -410,22 +372,21 @@ void NetSim::send_frame(size_t node_id, const Frame& f) {
     ++base_->stats.frames_tx;
 }
 
-void NetSim::drain_rx(size_t node_id, Deframer& d,
-                      std::vector<uint8_t>& scratch) {
-  scratch.clear();
-  machines_[node_id]->dev().take_rx(scratch);
-  d.push(scratch);
+void NetSim::drain_rx(size_t node_id, Deframer& d) {
+  rx_scratch_.clear();
+  machines_[node_id]->dev().take_rx(rx_scratch_);
+  d.push(rx_scratch_);
 }
 
 void NetSim::send_data_frame(uint16_t seq, uint64_t now) {
   const size_t cp = cfg_.proto.chunk_payload;
   const size_t begin = size_t(seq) * cp;
   const size_t end = std::min(begin + cp, blob_.size());
-  data_scratch_.type = FrameType::Data;
-  data_scratch_.version = cfg_.proto.version;
-  data_scratch_.seq = seq;
-  data_scratch_.payload.assign(blob_.begin() + begin, blob_.begin() + end);
-  mesh_send(0, data_scratch_, now, nullptr);
+  data_frame_.type = FrameType::Data;
+  data_frame_.version = cfg_.proto.version;
+  data_frame_.seq = seq;
+  data_frame_.payload.assign(blob_.begin() + begin, blob_.begin() + end);
+  mesh_send(0, data_frame_, now);
 }
 
 // Register a just-started transmission with the collision log and the
@@ -442,19 +403,17 @@ void NetSim::apply_tx_note(size_t from, uint64_t start, uint64_t done) {
 // Send a frame and (mesh only) note its exact airtime window. Callers
 // check the radio-idle bit first, so the transmission starts at `now` and
 // completes at now + length * byte-time — the device computes the same
-// completion cycle. During the parallel phase the note is buffered in the
-// shard context and merged at the barrier; the serial base step (sc ==
-// nullptr) applies it immediately.
-void NetSim::mesh_send(size_t id, const Frame& f, uint64_t now,
-                       ShardCtx* sc) {
+// completion cycle. The base steps last in its quantum and applies the
+// note at once; a receiver's note waits in the outbox (see Outbox).
+void NetSim::mesh_send(size_t id, const Frame& f, uint64_t now) {
   send_frame(id, f);
   if (!mesh_) return;
   const uint64_t done =
       now + (kFrameOverhead + f.payload.size()) * kByte;
-  if (sc)
-    sc->tx_notes.push_back({static_cast<uint16_t>(id), now, done});
-  else
+  if (id == 0)
     apply_tx_note(id, now, done);
+  else
+    out_.tx_notes.push_back({static_cast<uint16_t>(id), now, done});
 }
 
 // Carrier sense: a mesh node transmits only when its radio is idle and no
@@ -482,7 +441,7 @@ void NetSim::note_node_alive(size_t node_id) {
 // budget lasts. A hostile flood impersonating live nodes then delays
 // abandonment by a bounded amount instead of forever; authenticated Acks
 // bypass this (they are checked against the keyed tag instead). Called
-// only from the serial base step, so record() is safe.
+// only from the base step.
 bool NetSim::liveness_credit(size_t node_id, uint64_t now) {
   if (liveness_quota_ == 0) return true;
   uint32_t& used = base_->liveness_used[node_id];
@@ -602,9 +561,8 @@ void NetSim::on_base_frame(const Frame& f, uint64_t now) {
 }
 
 void NetSim::step_base(uint64_t now) {
-  drain_rx(0, base_->deframer, base_->rx_scratch);
-  while (base_->deframer.next(base_->rx_frame))
-    on_base_frame(base_->rx_frame, now);
+  drain_rx(0, base_->deframer);
+  while (base_->deframer.next(rx_frame_)) on_base_frame(rx_frame_, now);
   if (rollout_phase_) {
     step_base_rollout(now);
     return;
@@ -633,7 +591,7 @@ void NetSim::step_base(uint64_t now) {
   if (base_->summary_pending) {
     base_->summary_pending = false;
     ++base_->stats.summaries_tx;
-    mesh_send(0, summary_frame(), now, nullptr);
+    mesh_send(0, summary_frame(), now);
     return;
   }
   if (!base_->retransmit.empty()) {
@@ -656,7 +614,7 @@ void NetSim::step_base(uint64_t now) {
   if (now >= base_->next_probe_at) {
     ++base_->stats.summaries_tx;
     record(now, 0, NetEventKind::BaseProbe, base_->probe_streak, 0);
-    mesh_send(0, summary_frame(), now, nullptr);
+    mesh_send(0, summary_frame(), now);
     const uint32_t exp =
         std::min(base_->probe_streak, cfg_.proto.backoff_cap_exp);
     base_->next_probe_at = now + (cfg_.proto.probe_interval << exp);
@@ -671,26 +629,7 @@ void NetSim::step_base(uint64_t now) {
           continue;
         base_->abandoned[id] = true;
         ++base_->abandoned_count;
-        // Classify from the node's start-of-quantum state: the serial
-        // engine's base step preceded this quantum's node steps, and the
-        // sharded engine's barrier order must reproduce its view. A node
-        // stepped this quantum answers from its snapshot; any other node
-        // has not changed since the quantum started.
-        const Node& n = *nodes_[id - 1];
-        bool auth_fail = n.snap_auth_fail;
-        bool checksum_fail = n.snap_checksum_fail;
-        if (n.snap_at != now) {
-          const bool verified = machines_[id]->dev().image_store().verified;
-          auth_fail = n.stats.auth_rejects > 0 && !verified;
-          checksum_fail = n.stats.checksum_failures > 0 && !verified;
-        }
-        NodeAbortReason reason = NodeAbortReason::TimedOut;
-        if (!base_->heard[id])
-          reason = NodeAbortReason::NeverHeard;
-        else if (auth_fail)
-          reason = NodeAbortReason::AuthFail;
-        else if (checksum_fail)
-          reason = NodeAbortReason::ChecksumFail;
+        const NodeAbortReason reason = abort_reason_of(*nodes_[id - 1]);
         record(now, 0, NetEventKind::NodeAbandoned,
                static_cast<uint32_t>(id), static_cast<uint32_t>(reason));
       }
@@ -698,9 +637,9 @@ void NetSim::step_base(uint64_t now) {
   }
 }
 
-void NetSim::node_send_nack(Node& n, uint64_t now, ShardCtx& sc) {
+void NetSim::node_send_nack(Node& n, uint64_t now) {
   const auto& st = machines_[n.id]->dev().image_store();
-  std::vector<uint16_t>& missing = n.nack_scratch;
+  std::vector<uint16_t>& missing = nack_scratch_;
   missing.clear();
   if (st.has_summary) {
     // Bound by the store's OWN geometry, not the sim-global chunk count:
@@ -718,12 +657,12 @@ void NetSim::node_send_nack(Node& n, uint64_t now, ShardCtx& sc) {
     // with Data, so it cannot start a duplicate-serving storm.
     if (n.parent != kNoParent &&
         n.nacks_at_parent >= cfg_.proto.parent_churn_nacks)
-      mesh_churn_parent(n, now, sc);
+      mesh_churn_parent(n, now);
     const uint16_t target =
         (st.has_summary && n.parent != kNoParent) ? n.parent : kNackAnyTarget;
     mesh_send(n.id,
               make_mesh_nack(cfg_.proto.version, n.id, missing, target, n.hop),
-              now, &sc);
+              now);
     if (target != kNackAnyTarget) ++n.nacks_at_parent;
     n.next_nack_at += mesh_jitter(n.id, n.stats.nacks_sent);
   } else {
@@ -733,8 +672,8 @@ void NetSim::node_send_nack(Node& n, uint64_t now, ShardCtx& sc) {
   ++n.stats.nacks_sent;
   const uint32_t exp = std::min(n.nack_streak, cfg_.proto.backoff_cap_exp);
   n.stats.backoff_max_exp = std::max(n.stats.backoff_max_exp, exp);
-  sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::NackTx,
-            static_cast<uint32_t>(missing.size()), exp);
+  out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::NackTx,
+              static_cast<uint32_t>(missing.size()), exp);
   n.next_nack_at = now + (cfg_.proto.nack_timeout << exp) + n.id * 3 * kByte;
   ++n.nack_streak;
 }
@@ -743,15 +682,15 @@ void NetSim::node_send_nack(Node& n, uint64_t now, ShardCtx& sc) {
 // as parent when that shortens our path to the base, and schedule our own
 // rate-limited re-flood so the announcement keeps propagating outward.
 void NetSim::mesh_note_summary(Node& n, uint16_t sender, uint16_t hop,
-                               uint64_t now, ShardCtx& sc) {
+                               uint64_t now) {
   if (hop != kNoHop) n.nbr_hop[sender] = hop;
   const uint32_t cand = uint32_t(hop) + 1;
   if (cand < n.hop) {
     n.hop = static_cast<uint16_t>(cand);
     n.parent = sender;
     n.nacks_at_parent = 0;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ParentSelected,
-              sender, n.hop);
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ParentSelected,
+                sender, n.hop);
     // Re-flood only on improvement: the announcement wave propagates once
     // per learned hop count and then the network goes quiet. Lost nodes
     // pull a re-announce with kNackAnyTarget instead of the base pushing
@@ -779,7 +718,7 @@ void NetSim::mesh_schedule_summary_relay(Node& n, uint64_t now) {
 // kNackAnyTarget rediscovery. The node's own hop count is NOT recomputed
 // here: it was learned from a real flood, and rebuilding it from stale
 // neighbor entries inflates the gradient the Ack relays steer by.
-void NetSim::mesh_churn_parent(Node& n, uint64_t now, ShardCtx& sc) {
+void NetSim::mesh_churn_parent(Node& n, uint64_t now) {
   if (n.parent != kNoParent) n.nbr_hop.erase(n.parent);
   ++n.stats.parent_switches;
   n.nacks_at_parent = 0;
@@ -791,30 +730,30 @@ void NetSim::mesh_churn_parent(Node& n, uint64_t now, ShardCtx& sc) {
       best = id;
     }
   n.parent = best;
-  sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ParentSelected,
-            best, n.hop);
+  out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ParentSelected,
+              best, n.hop);
 }
 
 // One mesh transmission opportunity (the caller verified carrier sense +
 // radio idle). Priority: own Ack, then Ack relays (completion news keeps
 // the base from probing), then peer serves, then Summary relays. Returns
 // true if a frame went on the air.
-bool NetSim::mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc) {
+bool NetSim::mesh_node_tx(Node& n, uint64_t now) {
   emu::ImageStore& st = machines_[n.id]->dev().image_store();
 
   if (rollout_phase_) {
     // Rollout traffic first: it is the critical path of this phase (the
     // legacy queues below are essentially drained by now).
     if (n.health_pending && now >= n.next_health_at) {
-      node_send_health(n, now, sc);
+      node_send_health(n, now);
       return true;
     }
     if (!n.ctl_relay_q.empty()) {
       const auto [target, ci] = n.ctl_relay_q.front();
       n.ctl_relay_q.pop_front();
-      mesh_send(n.id, make_control(cfg_.proto.version, target, ci), now, &sc);
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ControlRelayed,
-                ci.ctl_seq, static_cast<uint32_t>(ci.cmd));
+      mesh_send(n.id, make_control(cfg_.proto.version, target, ci), now);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ControlRelayed,
+                  ci.ctl_seq, static_cast<uint32_t>(ci.cmd));
       return true;
     }
     while (!n.health_relay_q.empty()) {
@@ -830,9 +769,9 @@ bool NetSim::mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc) {
       hr.has_relayer = true;
       hr.relayer = n.id;
       hr.hop = n.hop < 0xFF ? n.hop : 0xFF;
-      mesh_send(n.id, make_health(cfg_.proto.version, origin, hr), now, &sc);
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::HealthRelayed,
-                origin, hr.hop);
+      mesh_send(n.id, make_health(cfg_.proto.version, origin, hr), now);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::HealthRelayed,
+                  origin, hr.hop);
       return true;
     }
   }
@@ -845,7 +784,7 @@ bool NetSim::mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc) {
                                             cfg_.proto.version, n.id,
                                             st.image_crc))
                     : make_mesh_ack(cfg_.proto.version, n.id, n.id, n.hop),
-              now, &sc);
+              now);
     ++n.stats.acks_sent;
     n.last_ack_at = now;
     // Periodic re-ack with exponential backoff: the origin is the retry
@@ -874,10 +813,10 @@ bool NetSim::mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc) {
               auth_ ? make_mesh_ack(cfg_.proto.version, origin, n.id, n.hop,
                                     tag)
                     : make_mesh_ack(cfg_.proto.version, origin, n.id, n.hop),
-              now, &sc);
+              now);
     ++n.stats.acks_relayed;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::AckRelayed,
-              origin, n.hop);
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::AckRelayed,
+                origin, n.hop);
     return true;
   }
 
@@ -896,17 +835,17 @@ bool NetSim::mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc) {
     const size_t cp = st.chunk_payload;
     const size_t begin = size_t(seq) * cp;
     const size_t end = std::min(begin + cp, size_t(st.image_bytes));
-    n.serve_scratch.type = FrameType::Data;
-    n.serve_scratch.version = st.image_version;
-    n.serve_scratch.seq = seq;
-    n.serve_scratch.payload.assign(st.image.begin() + begin,
-                                   st.image.begin() + end);
-    mesh_send(n.id, n.serve_scratch, now, &sc);
+    data_frame_.type = FrameType::Data;
+    data_frame_.version = st.image_version;
+    data_frame_.seq = seq;
+    data_frame_.payload.assign(st.image.begin() + begin,
+                               st.image.begin() + end);
+    mesh_send(n.id, data_frame_, now);
     ++n.stats.chunks_served;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ChunkServed, seq,
-              static_cast<uint32_t>(n.serve_q.size()));
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ChunkServed, seq,
+                static_cast<uint32_t>(n.serve_q.size()));
     n.next_serve_at = now +
-                      (kFrameOverhead + n.serve_scratch.payload.size()) *
+                      (kFrameOverhead + data_frame_.payload.size()) *
                           kByte +
                       cfg_.proto.serve_gap;
     return true;
@@ -926,17 +865,16 @@ bool NetSim::mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc) {
     rs.has_mac = st.has_mac;
     rs.image_mac = st.image_mac;
     mesh_send(n.id, make_mesh_summary(cfg_.proto.version, rs, n.id, n.hop),
-              now, &sc);
+              now);
     ++n.stats.summaries_relayed;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::SummaryRelayed,
-              n.hop, 0);
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::SummaryRelayed,
+                n.hop, 0);
     return true;
   }
   return false;
 }
 
-void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
-                           ShardCtx& sc) {
+void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now) {
   emu::ImageStore& st = machines_[n.id]->dev().image_store();
   ++n.stats.frames_rx;
   if (f.version != cfg_.proto.version) return;
@@ -971,16 +909,16 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
     if (payload.size() != expect) return;
     if (st.have[seq]) {
       ++n.stats.duplicate_chunks;
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::DuplicateChunk,
-                seq, 0);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::DuplicateChunk,
+                  seq, 0);
       return;
     }
     std::copy(payload.begin(), payload.end(), st.image.begin() + seq * cp);
     st.have[seq] = 1;
     ++st.chunks_have;
     ++st.writes;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ChunkStored, seq,
-              st.chunks_have);
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ChunkStored, seq,
+                st.chunks_have);
     progress();
     if (st.chunks_have != st.total_chunks) return;
 
@@ -995,8 +933,8 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
         // blacklist the (crc, mac) pair so its re-announcements are
         // ignored instead of re-downloaded forever, erase, re-solicit.
         ++n.stats.auth_rejects;
-        sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::AuthReject,
-                  n.id, st.image_crc & 0xFFFF);
+        out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::AuthReject,
+                    n.id, st.image_crc & 0xFFFF);
         n.reject_ring[n.reject_count % n.reject_ring.size()] = {st.image_crc,
                                                                 st.image_mac};
         ++n.reject_count;
@@ -1008,11 +946,11 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
         return;
       }
       st.verified = true;
-      ++sc.complete_delta;
+      ++complete_count_;
       n.stats.complete = true;
       n.stats.completion_cycle = now;
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::Complete, n.id,
-                st.image_crc & 0xFFFF);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::Complete, n.id,
+                  st.image_crc & 0xFFFF);
       if (mesh_) {
         // Mesh transmissions are carrier-sensed: queue the Ack for the
         // node's next clear TX slot instead of sending blind.
@@ -1024,8 +962,8 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
       // Frame CRCs all passed yet the image does not verify (16-bit CRC
       // collision): discard everything and re-request; never activate.
       ++n.stats.checksum_failures;
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ChecksumFail,
-                n.id, 0);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ChecksumFail,
+                  n.id, 0);
       std::fill(st.have.begin(), st.have.end(), 0);
       st.chunks_have = 0;
       n.nack_streak = 0;
@@ -1042,7 +980,7 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
         // The sender id is attacker-controlled: range-check it before it
         // keys the neighbor-hop table.
         if (info->sender > cfg_.nodes) return;
-        mesh_note_summary(n, info->sender, f.seq, now, sc);
+        mesh_note_summary(n, info->sender, f.seq, now);
       }
       if (auth_) {
         // Authenticated runs ignore announcements without a MAC (they
@@ -1110,8 +1048,9 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
         st.have.assign(info->total_chunks, 0);
         st.chunks_have = 0;
         ++st.writes;
-        sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::SummaryStored,
-                  info->total_chunks, info->image_crc & 0xFFFF);
+        out_.record(now, static_cast<uint8_t>(n.id),
+                    NetEventKind::SummaryStored, info->total_chunks,
+                    info->image_crc & 0xFFFF);
         st.has_summary = true;
         auto early = std::move(n.early);
         n.early.clear();
@@ -1297,7 +1236,7 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
       if (target != n.id) break;
       if (ci->ctl_seq <= n.last_ctl_seq) break;  // stale replay
       n.last_ctl_seq = ci->ctl_seq;
-      on_node_control(n, target, *ci, now, sc);
+      on_node_control(n, *ci, now);
       break;
     }
     default:
@@ -1309,16 +1248,15 @@ void NetSim::on_node_frame(Node& n, const Frame& f, uint64_t now,
 // Every overheard byte feeds the attached model, which then gets one raw
 // transmission opportunity — its bytes bypass the frame encoder entirely,
 // so arbitrary streams (garbage, truncations, length lies, forged frames,
-// replays) go on the air. The model and the scratch buffers are touched
-// only by this node's owning shard; in mesh mode the transmission is noted
-// for the collision log exactly like an honest one (a hostile frame can be
+// replays) go on the air. In mesh mode the transmission is noted for the
+// collision log exactly like an honest one (a hostile frame can be
 // captured over, and collides, like any other).
-void NetSim::step_hostile(Node& n, uint64_t now, ShardCtx& sc) {
+void NetSim::step_hostile(Node& n, uint64_t now) {
   auto& dev = machines_[n.id]->dev();
-  hostile_rx_.clear();
-  dev.take_rx(hostile_rx_);
+  rx_scratch_.clear();
+  dev.take_rx(rx_scratch_);
   if (!hostile_) return;
-  if (!hostile_rx_.empty()) hostile_->observe(hostile_rx_);
+  if (!rx_scratch_.empty()) hostile_->observe(rx_scratch_);
   uint8_t busy = 0;
   dev.io_access(emu::kRadioStatus, busy, false);
   if (busy & 1) return;  // even the attacker's radio serializes frames
@@ -1335,20 +1273,19 @@ void NetSim::step_hostile(Node& n, uint64_t now, ShardCtx& sc) {
   uint8_t go = 1;
   dev.io_access(emu::kRadioCtrl, go, true);
   if (mesh_)
-    sc.tx_notes.push_back({n.id, now, now + hostile_tx_.size() * kByte});
+    out_.tx_notes.push_back({n.id, now, now + hostile_tx_.size() * kByte});
 }
 
-void NetSim::step_node(size_t idx, uint64_t now, ShardCtx& sc) {
-  Node& n = *nodes_[idx];
+void NetSim::step_node(Node& n, uint64_t now) {
   if (cfg_.hostile_node == n.id) {
-    step_hostile(n, now, sc);
+    step_hostile(n, now);
     return;
   }
-  drain_rx(n.id, n.deframer, sc.rx_scratch);
-  while (n.deframer.next(sc.rx_frame)) on_node_frame(n, sc.rx_frame, now, sc);
+  drain_rx(n.id, n.deframer);
+  while (n.deframer.next(rx_frame_)) on_node_frame(n, rx_frame_, now);
   if (n.down) return;  // a Control-commanded activation reboot fired
   if (rollout_phase_) {
-    step_node_rollout(n, now, sc);
+    step_node_rollout(n, now);
     if (n.down) return;  // a scripted trial behavior took the node down
   }
   if (!mesh_) {
@@ -1356,7 +1293,7 @@ void NetSim::step_node(size_t idx, uint64_t now, ShardCtx& sc) {
     // reports (sent by step_node_rollout) and Controls own the air.
     if (rollout_phase_) return;
     if (machines_[n.id]->dev().image_store().verified) return;
-    if (now >= n.next_nack_at) node_send_nack(n, now, sc);
+    if (now >= n.next_nack_at) node_send_nack(n, now);
     return;
   }
   // Mesh: one carrier-sensed transmission opportunity per quantum.
@@ -1367,14 +1304,24 @@ void NetSim::step_node(size_t idx, uint64_t now, ShardCtx& sc) {
       machines_[n.id]->dev().image_store().verified && now >= n.next_ack_at)
     n.ack_pending = true;
   if (!mesh_can_tx(n.id, now)) return;
-  if (mesh_node_tx(n, now, sc)) return;
+  if (mesh_node_tx(n, now)) return;
   if (rollout_phase_) return;  // no Nack-driven transfer during the rollout
   if (machines_[n.id]->dev().image_store().verified) return;
-  if (now >= n.next_nack_at) node_send_nack(n, now, sc);
+  if (now >= n.next_nack_at) node_send_nack(n, now);
 }
 
-void NetSim::node_lifecycle(size_t idx, uint64_t now, ShardCtx& sc) {
-  Node& n = *nodes_[idx];
+void NetSim::power_down(Node& n, uint64_t now, uint64_t down_bytes) {
+  n.deframer = Deframer{};
+  n.early.clear();
+  n.down = true;
+  n.up_at = now + down_bytes * kByte;
+  // While down the node neither hears nor is heard: both link directions
+  // are forced into an outage window (consumes no medium randomness).
+  out_.outages.push_back({kAnyNode, n.id, now, n.up_at});
+  out_.outages.push_back({n.id, kAnyNode, now, n.up_at});
+}
+
+void NetSim::node_lifecycle(Node& n, uint64_t now) {
   auto& dev = machines_[n.id]->dev();
   emu::ImageStore& st = dev.image_store();
 
@@ -1411,8 +1358,8 @@ void NetSim::node_lifecycle(size_t idx, uint64_t now, ShardCtx& sc) {
     n.summary_relay_pending = false;
     n.summary_relay_at = 0;
     n.last_summary_relay_at = 0;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::NodeRebooted,
-              st.chunks_have, st.verified);
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::NodeRebooted,
+                st.chunks_have, st.verified);
     if (rollout_phase_) {
       // Rollout volatile state died with the power rail; the persisted
       // slot machine (trial flags, rollback_report_pending) decides what
@@ -1462,54 +1409,23 @@ void NetSim::node_lifecycle(size_t idx, uint64_t now, ShardCtx& sc) {
     const NodeCrash ev = n.crash_plan.front();
     n.crash_plan.pop_front();
     ++n.stats.crashes;
-    sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::NodeCrashed,
-              st.chunks_have, ev.wipe_store);
+    out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::NodeCrashed,
+                st.chunks_have, ev.wipe_store);
     dev.reboot();  // power fails: every volatile device state dies now
     if (rollout_phase_) {
       if (dev.take_store_reformatted())
-        sc.record(now, static_cast<uint8_t>(n.id),
-                  NetEventKind::StoreReformatted, n.id, 0);
+        out_.record(now, static_cast<uint8_t>(n.id),
+                    NetEventKind::StoreReformatted, n.id, 0);
       if (dev.last_boot() == emu::BootOutcome::TrialRollback)
-        sc.record(now, static_cast<uint8_t>(n.id),
-                  NetEventKind::TrialRolledBack, n.id,
-                  static_cast<uint32_t>(RollbackWhy::BootInterrupted));
+        out_.record(now, static_cast<uint8_t>(n.id),
+                    NetEventKind::TrialRolledBack, n.id,
+                    static_cast<uint32_t>(RollbackWhy::BootInterrupted));
     }
     if (ev.wipe_store) {
-      if (st.verified) --sc.complete_delta;  // a cold crash wipes a completion
+      if (st.verified) --complete_count_;  // a cold crash wipes a completion
       st.erase();
     }
-    n.deframer = Deframer{};
-    n.early.clear();
-    n.down = true;
-    n.up_at = now + ev.down_bytes * kByte;
-    // While down the node neither hears nor is heard: both link directions
-    // are forced into an outage window (consumes no medium randomness).
-    // Buffered: the medium is shared state, and outages only gate future
-    // broadcasts, so applying them at the barrier is observation-identical.
-    sc.outages.push_back({kAnyNode, n.id, now, n.up_at});
-    sc.outages.push_back({n.id, kAnyNode, now, n.up_at});
-  }
-}
-
-// One shard's slice of a simulation quantum (the parallel phase): for each
-// due receiver in the slice, advance its device to `t` (TX completions land
-// in txbufs_), run its lifecycle + protocol step, and schedule its next
-// wake. Everything written here is owned by this shard — node/device state
-// and wake slots of its own receivers, its ShardCtx buffers, its machines'
-// TX buffers — so shards never race.
-void NetSim::run_shard_quantum(ShardCtx& sc, uint64_t t) {
-  for (size_t k = sc.due_begin; k < sc.due_end; ++k) {
-    const size_t i = due_[k];
-    Node& n = *nodes_[i];
-    emu::DeviceHub& dev = machines_[n.id]->dev();
-    dev.sync(t);
-    const bool verified = dev.image_store().verified;
-    n.snap_checksum_fail = n.stats.checksum_failures > 0 && !verified;
-    n.snap_auth_fail = n.stats.auth_rejects > 0 && !verified;
-    n.snap_at = t;
-    node_lifecycle(i, t, sc);
-    if (!n.down) step_node(i, t, sc);
-    wake_at_[i] = next_wake(n, t);
+    power_down(n, now, ev.down_bytes);
   }
 }
 
@@ -1558,27 +1474,6 @@ NodeAbortReason NetSim::abort_reason_of(const Node& n) const {
   return NodeAbortReason::TimedOut;
 }
 
-// Shard setup (DESIGN.md §9). Each quantum, shard s takes the slice
-// [s*D/S, (s+1)*D/S) of the D due receivers; contiguity makes the barrier
-// merge a concatenation in shard order = node-id order. Auto-sharding only
-// pays off once each shard owns a meaningful slice: below
-// kMinNodesPerShard receivers per shard the quantum barrier costs more
-// than the parallel phase saves, so small fleets run serial.
-void NetSim::setup_engine() {
-  ran_ = true;
-  const unsigned requested =
-      cfg_.shards == 0
-          ? host::effective_jobs(0, cfg_.nodes / kMinNodesPerShard)
-          : cfg_.shards;
-  const unsigned S = static_cast<unsigned>(std::max<size_t>(
-      1, std::min<size_t>(requested, std::max<size_t>(cfg_.nodes, 1))));
-  shards_.assign(S, ShardCtx{});
-  if (S > 1) pool_ = std::make_unique<host::WorkPool>(S);
-  wake_at_.assign(cfg_.nodes, 0);
-  due_.reserve(cfg_.nodes);
-  wake_all();
-}
-
 bool NetSim::loop_done() const {
   // Rollout phase: the orchestrator reached its terminal state.
   // Dissemination: every node acknowledged, or every straggler abandoned
@@ -1587,7 +1482,7 @@ bool NetSim::loop_done() const {
   return base_->acked_count + base_->abandoned_count >= cfg_.nodes;
 }
 
-// The bulk-synchronous quantum loop shared by disseminate() and rollout().
+// The quantum loop shared by disseminate() and rollout() (DESIGN.md §9).
 // Returns false when max_cycles ran out before the phase terminated.
 bool NetSim::run_loop() {
   while (!loop_done()) {
@@ -1595,8 +1490,8 @@ bool NetSim::run_loop() {
     if (t_ > cfg_.max_cycles) return false;
     // Deliver due packets first (completing transmissions hand packets to
     // the medium with latency >= one byte time, so nothing broadcast in
-    // this quantum is consumable before the next — shard stepping order
-    // cannot leak causality).
+    // this quantum is consumable before the next — no node's step can
+    // observe another's transmission of the same quantum).
     medium_.flush(t_);
     // Fresh bytes can only bring a receiver's deframer deadline forward.
     for (size_t to : medium_.flushed_to()) {
@@ -1605,78 +1500,44 @@ bool NetSim::run_loop() {
       wake_at_[to - 1] = std::min(wake_at_[to - 1], at);
       next_wake_ = std::min(next_wake_, at);
     }
-    // Collect the due receivers; next_wake_ restarts as the minimum over
-    // the others and absorbs the due ones' new deadlines after their steps.
-    due_.clear();
+    // Devices advance in machine-id order, so TX completions reach the
+    // medium (and the trace) base first, then due receivers by id. Each
+    // due receiver runs its lifecycle and protocol step right after its
+    // sync; what it produces for others waits in the outbox. next_wake_
+    // restarts as the minimum over every receiver's (new) deadline.
+    machines_[0]->dev().sync(t_);
     if (t_ >= next_wake_) {
       next_wake_ = kNever;
       for (size_t i = 0; i < wake_at_.size(); ++i) {
-        if (wake_at_[i] <= t_)
-          due_.push_back(static_cast<uint32_t>(i));
-        else
-          next_wake_ = std::min(next_wake_, wake_at_[i]);
+        if (wake_at_[i] <= t_) {
+          Node& n = *nodes_[i];
+          machines_[n.id]->dev().sync(t_);
+          node_lifecycle(n, t_);
+          if (!n.down) step_node(n, t_);
+          wake_at_[i] = next_wake(n, t_);
+        }
+        next_wake_ = std::min(next_wake_, wake_at_[i]);
       }
     }
-
-    // Parallel phase: the base's device advances, then each shard steps
-    // its slice of the due receivers, with every cross-node effect
-    // buffered shard-locally. Slices run inline, in order, when there is
-    // nothing to split.
-    phase_parallel_ = true;
-    machines_[0]->dev().sync(t_);
-    const size_t S = shards_.size();
-    for (size_t s = 0; s < S; ++s) {
-      shards_[s].due_begin = due_.size() * s / S;
-      shards_[s].due_end = due_.size() * (s + 1) / S;
-    }
-    if (pool_ && due_.size() > 1) {
-      pool_->dispatch([this](unsigned s) {
-        run_shard_quantum(shards_[s], t_);
-      });
-    } else {
-      for (ShardCtx& sc : shards_) run_shard_quantum(sc, t_);
-    }
-    phase_parallel_ = false;
-
-    // Barrier merge, reproducing the serial engine's exact per-quantum
-    // order: (1) TX completions + their broadcasts in machine-id order
-    // (the medium's PRNG roll order; only the base and the stepped
-    // receivers can have any), (2) the base's protocol step, (3) receiver
-    // trace events in node-id order, then the buffered outage windows
-    // (first consulted by next quantum's broadcasts).
-    replay_tx(0);
-    for (uint32_t i : due_) replay_tx(i + 1);
-    if (mesh_) {
-      // Merge this quantum's transmission starts (collision log + carrier
-      // sense) before the base steps, so the base defers to node frames
-      // already on the air. Shard order = node-id order, and the updates
-      // are max()/append, so any shard count merges identically.
-      for (ShardCtx& sc : shards_) {
-        for (const ShardCtx::TxNote& tn : sc.tx_notes)
-          apply_tx_note(tn.from, tn.start, tn.done);
-        sc.tx_notes.clear();
-      }
-    }
+    // Receivers' transmission starts first, so the base defers to node
+    // frames already on the air; then the base steps; then the receivers'
+    // trace events and outage windows (first consulted by the next
+    // quantum's broadcasts) land in node-id order.
+    for (const Outbox::TxNote& tn : out_.tx_notes)
+      apply_tx_note(tn.from, tn.start, tn.done);
     step_base(t_);
-    for (ShardCtx& sc : shards_) {
-      for (const NetTraceEvent& e : sc.events)
-        record(e.cycle, e.node, e.kind, e.a, e.b);
-      for (const LinkOutage& o : sc.outages) medium_.add_outage(o);
-      complete_count_ =
-          static_cast<size_t>(static_cast<int64_t>(complete_count_) +
-                              sc.complete_delta);
-      sc.events.clear();
-      sc.outages.clear();
-      sc.complete_delta = 0;
-    }
-    for (uint32_t i : due_) next_wake_ = std::min(next_wake_, wake_at_[i]);
+    for (const NetTraceEvent& e : out_.events)
+      record(e.cycle, e.node, e.kind, e.a, e.b);
+    for (const LinkOutage& o : out_.outages) medium_.add_outage(o);
+    out_.tx_notes.clear();
+    out_.events.clear();
+    out_.outages.clear();
   }
   return true;
 }
 
 DisseminationResult NetSim::disseminate() {
   DisseminationResult res;
-  setup_engine();
   const bool within_budget = run_loop();
   finish_dissem(res, !within_budget);
   return res;
@@ -1756,7 +1617,6 @@ const emu::ImageStore& NetSim::node_store(size_t node) const {
 
 RolloutResult NetSim::rollout() {
   RolloutResult rr;
-  setup_engine();
   const bool dissem_ok = run_loop();
   finish_dissem(rr.dissem, !dissem_ok);
   if (dissem_ok) {
@@ -1826,7 +1686,7 @@ void NetSim::base_send_control(uint16_t target, ControlCmd cmd, uint64_t now) {
                          static_cast<uint8_t>(cmd), target, ci.ctl_seq,
                          ci.image_crc);
   }
-  mesh_send(0, make_control(cfg_.proto.version, target, ci), now, nullptr);
+  mesh_send(0, make_control(cfg_.proto.version, target, ci), now);
   record(now, 0, NetEventKind::ControlTx, static_cast<uint32_t>(cmd), target);
 }
 
@@ -2035,9 +1895,7 @@ void NetSim::on_base_health(uint16_t origin, const HealthReport& hr,
   }
 }
 
-void NetSim::on_node_control(Node& n, uint16_t target, const ControlInfo& ci,
-                             uint64_t now, ShardCtx& sc) {
-  (void)target;
+void NetSim::on_node_control(Node& n, const ControlInfo& ci, uint64_t now) {
   auto& dev = machines_[n.id]->dev();
   emu::ImageStore& st = dev.image_store();
   switch (ci.cmd) {
@@ -2061,11 +1919,11 @@ void NetSim::on_node_control(Node& n, uint16_t target, const ControlInfo& ci,
       if (!st.verified || st.image_crc != ci.image_crc) break;  // not held
       const int slot = st.stage_inactive(cfg_.proto.version);
       if (slot < 0) break;
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::ImageStaged,
-                static_cast<uint32_t>(slot), st.image_crc & 0xFFFF);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::ImageStaged,
+                  static_cast<uint32_t>(slot), st.image_crc & 0xFFFF);
       st.activate_trial(static_cast<uint8_t>(slot));
-      sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::TrialActivated,
-                static_cast<uint32_t>(slot), ci.image_crc & 0xFFFF);
+      out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::TrialActivated,
+                  static_cast<uint32_t>(slot), ci.image_crc & 0xFFFF);
       // Deliberate reboot into the trial slot: on_power_up consumes the
       // one sanctioned trial boot; any later reboot before ConfirmTrial
       // auto-rolls-back.
@@ -2073,12 +1931,7 @@ void NetSim::on_node_control(Node& n, uint16_t target, const ControlInfo& ci,
       n.saved_parent = n.parent;
       n.trial_pending = true;
       dev.reboot();
-      n.deframer = Deframer{};
-      n.early.clear();
-      n.down = true;
-      n.up_at = now + cfg_.rollout.reboot_bytes * kByte;
-      sc.outages.push_back({kAnyNode, n.id, now, n.up_at});
-      sc.outages.push_back({n.id, kAnyNode, now, n.up_at});
+      power_down(n, now, cfg_.rollout.reboot_bytes);
       break;
     }
     case ControlCmd::ConfirmTrial: {
@@ -2103,9 +1956,9 @@ void NetSim::on_node_control(Node& n, uint16_t target, const ControlInfo& ci,
         did = st.revert_active(ci.image_crc);
       }
       if (did)
-        sc.record(now, static_cast<uint8_t>(n.id),
-                  NetEventKind::TrialRolledBack, n.id,
-                  static_cast<uint32_t>(RollbackWhy::Commanded));
+        out_.record(now, static_cast<uint8_t>(n.id),
+                    NetEventKind::TrialRolledBack, n.id,
+                    static_cast<uint32_t>(RollbackWhy::Commanded));
       n.trial_running = false;
       st.rollback_report_pending = false;  // doubles as the failure ack
       node_queue_health(n, kHealthRolledBack, 2, now);
@@ -2114,7 +1967,7 @@ void NetSim::on_node_control(Node& n, uint16_t target, const ControlInfo& ci,
   }
 }
 
-void NetSim::step_node_rollout(Node& n, uint64_t now, ShardCtx& sc) {
+void NetSim::step_node_rollout(Node& n, uint64_t now) {
   auto& dev = machines_[n.id]->dev();
   emu::ImageStore& st = dev.image_store();
   if (n.trial_running) {
@@ -2131,9 +1984,9 @@ void NetSim::step_node_rollout(Node& n, uint64_t now, ShardCtx& sc) {
             // On-node gate: the node needs no base round-trip to know its
             // trial is toxic — roll back at once and report the failure.
             st.rollback_trial();
-            sc.record(now, static_cast<uint8_t>(n.id),
-                      NetEventKind::TrialRolledBack, n.id,
-                      static_cast<uint32_t>(RollbackWhy::GateFailed));
+            out_.record(now, static_cast<uint8_t>(n.id),
+                        NetEventKind::TrialRolledBack, n.id,
+                        static_cast<uint32_t>(RollbackWhy::GateFailed));
             n.trial_running = false;
             node_queue_health(n, kHealthRolledBack | kHealthGateFailed,
                               cfg_.rollout.report_retries, now);
@@ -2148,20 +2001,15 @@ void NetSim::step_node_rollout(Node& n, uint64_t now, ShardCtx& sc) {
                                           ? b.wedge_bytes
                                           : b.down_bytes;
           ++n.stats.crashes;
-          sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::NodeCrashed,
-                    st.chunks_have, 0);
+          out_.record(now, static_cast<uint8_t>(n.id),
+                      NetEventKind::NodeCrashed, st.chunks_have, 0);
           dev.reboot();
           if (dev.last_boot() == emu::BootOutcome::TrialRollback)
-            sc.record(now, static_cast<uint8_t>(n.id),
-                      NetEventKind::TrialRolledBack, n.id,
-                      static_cast<uint32_t>(RollbackWhy::BootInterrupted));
+            out_.record(now, static_cast<uint8_t>(n.id),
+                        NetEventKind::TrialRolledBack, n.id,
+                        static_cast<uint32_t>(RollbackWhy::BootInterrupted));
           n.trial_running = false;
-          n.deframer = Deframer{};
-          n.early.clear();
-          n.down = true;
-          n.up_at = now + down_bytes * kByte;
-          sc.outages.push_back({kAnyNode, n.id, now, n.up_at});
-          sc.outages.push_back({n.id, kAnyNode, now, n.up_at});
+          power_down(n, now, down_bytes);
           return;
         }
         default:
@@ -2179,7 +2027,7 @@ void NetSim::step_node_rollout(Node& n, uint64_t now, ShardCtx& sc) {
   // Star mode transmits directly (mirroring Nacks — no carrier sense);
   // mesh reports ride mesh_node_tx's prioritized TX slot instead.
   if (!mesh_ && n.health_pending && now >= n.next_health_at)
-    node_send_health(n, now, sc);
+    node_send_health(n, now);
 }
 
 void NetSim::node_queue_health(Node& n, uint8_t flags, uint32_t sends,
@@ -2193,7 +2041,7 @@ void NetSim::node_queue_health(Node& n, uint8_t flags, uint32_t sends,
   n.next_health_at = now + n.id * 3 * kByte;
 }
 
-void NetSim::node_send_health(Node& n, uint64_t now, ShardCtx& sc) {
+void NetSim::node_send_health(Node& n, uint64_t now) {
   auto& dev = machines_[n.id]->dev();
   const emu::ImageStore& st = dev.image_store();
   const emu::HealthCounters& h = dev.health();
@@ -2220,9 +2068,9 @@ void NetSim::node_send_health(Node& n, uint64_t now, ShardCtx& sc) {
     // base, so even a gradient-less node's report gets through.
     hr.hop = n.hop < 0xFF ? n.hop : 0xFF;
   }
-  mesh_send(n.id, make_health(cfg_.proto.version, n.id, hr), now, &sc);
-  sc.record(now, static_cast<uint8_t>(n.id), NetEventKind::HealthTx, hr.flags,
-            n.health_streak);
+  mesh_send(n.id, make_health(cfg_.proto.version, n.id, hr), now);
+  out_.record(now, static_cast<uint8_t>(n.id), NetEventKind::HealthTx, hr.flags,
+              n.health_streak);
   const uint32_t exp = std::min(n.health_streak, cfg_.proto.backoff_cap_exp);
   n.next_health_at = now + (cfg_.proto.ack_repeat_min << exp) +
                      (mesh_ ? mesh_jitter(n.id, n.health_streak) : 0);

@@ -10,14 +10,15 @@
 // CRC-32 and Ack. A partially received or corrupted image is never handed
 // out for installation.
 //
-// Determinism contract: the simulation advances all nodes in lockstep
-// quanta of one on-air byte time, steps the nodes due in each quantum in
-// id order (a receiver sleeps through quanta in which its step could not
-// change anything — the wake schedule of DESIGN.md §9), and draws every
-// random decision from one seeded PRNG inside Medium — a run (including
-// its full event trace and digest) is a pure function of (image bytes,
-// NetConfig). Replays are byte-identical, serial or under a parallel
-// seed sweep (src/host/parallel), because one run never shares state.
+// Determinism contract: one serial engine advances all nodes in lockstep
+// quanta of one on-air byte time. Each quantum steps the due receivers in
+// id order and then the base (a receiver sleeps through quanta in which
+// its step could not change anything — the wake schedule of DESIGN.md
+// §9), and every random decision comes from one seeded PRNG inside
+// Medium, so a run (including its full event trace and digest) is a pure
+// function of (image bytes, NetConfig). Replays are byte-identical,
+// serial or under a parallel seed sweep (src/host/parallel), because one
+// run never shares state.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +32,6 @@
 #include "net/frame.hpp"
 #include "net/medium.hpp"
 #include "net/topology.hpp"
-
-namespace sensmart::host {
-class WorkPool;  // src/host/parallel.hpp; owned via unique_ptr only
-}
 
 namespace sensmart::net {
 
@@ -175,18 +172,7 @@ struct NetConfig {
   uint64_t max_cycles = 4'000'000'000ULL;
   size_t trace_capacity = 1 << 16;  // stored events (digest covers all)
   NodeFaultPolicy node_faults;      // receiver crash/reboot schedule
-  // Worker threads for the intra-network bulk-synchronous step (DESIGN.md
-  // §9): receivers are partitioned into `shards` contiguous spans whose
-  // device sync + protocol steps run in parallel within each quantum, with
-  // all cross-node effects (TX broadcasts, trace events, outages) buffered
-  // and merged at a barrier in canonical order. The trace digest and every
-  // result byte are identical at any shard count; only wall time changes.
-  // 0 = auto: one shard per kMinNodesPerShard receivers, capped at
-  // hardware concurrency — small fleets fall back to serial, because the
-  // per-quantum barrier costs more than stepping a handful of nodes
-  // (BENCH_fleet showed shards=8 ~13x slower than serial at 4 nodes).
-  // 1 = serial.
-  unsigned shards = 1;
+  unsigned shards = 1;  // ignored; the engine is serial (DESIGN.md §9)
   // Spatial topology (DESIGN.md §10). The default Star keeps the legacy
   // single-hop network and is byte-identical to the pre-mesh simulator;
   // any mesh kind enables multi-hop dissemination: hop-count parent
@@ -203,10 +189,6 @@ struct NetConfig {
   // NetSim::rollout(). enabled=false keeps every legacy path byte-identical.
   RolloutParams rollout;
 };
-
-// Auto-shard sizing floor: below this many receivers per shard the
-// bulk-synchronous barrier costs more than the parallel phase saves.
-inline constexpr size_t kMinNodesPerShard = 16;
 
 // Why a receiver ended the run without a base-acknowledged install.
 enum class NodeAbortReason : uint8_t {
@@ -413,10 +395,10 @@ struct RolloutResult {
 // offered one raw transmission per quantum — raw bytes, not frames, so it
 // can put arbitrary streams on the air (garbage, truncations, length lies,
 // forged frames, replays). Implementations must be deterministic functions
-// of their seed and observations; the replay and shard-invariance oracles
-// then hold for adversarial runs exactly as for honest ones. The concrete
-// seeded attacker lives in chaos/hostile.hpp; tests also hand-script one
-// to inject exact byte sequences.
+// of their seed and observations; the replay oracles then hold for
+// adversarial runs exactly as for honest ones. The concrete seeded
+// attacker lives in chaos/hostile.hpp; tests also hand-script one to
+// inject exact byte sequences.
 class HostileModel {
  public:
   virtual ~HostileModel() = default;
@@ -460,7 +442,7 @@ class NetSim {
   // phases on one timeline; the dissemination half of the result is exactly
   // what disseminate() would have produced. Same determinism contract: the
   // whole RolloutResult is a pure function of (image bytes, NetConfig,
-  // initial image, trial behaviors), byte-identical at any shard count.
+  // initial image, trial behaviors).
   RolloutResult rollout();
   // Pre-load every receiver's slot A with the currently-deployed image
   // (Confirmed, active) — the image the fleet falls back to. Call before
@@ -486,51 +468,26 @@ class NetSim {
   struct Node;
   struct Base;
 
-  // Per-shard output buffer of the parallel phase (DESIGN.md §9): every
-  // cross-node effect a receiver step produces — trace events, link-outage
-  // windows, verified-store transitions — lands here instead of in shared
-  // state, and is merged at the quantum barrier in shard order. Shards
-  // take contiguous slices of the quantum's due list, which is in id
-  // order, so shard order IS node-id order and the merged trace is
-  // byte-identical to the serial engine's.
-  struct ShardCtx {
-    size_t due_begin = 0, due_end = 0;  // slice of NetSim::due_
-    std::vector<uint8_t> rx_scratch;    // received bytes, reused
-    Frame rx_frame;                     // deframed frame, reused
+  // Receiver effects deferred to the end of the quantum (DESIGN.md §9).
+  // Receivers step before the base, yet the trace orders the base's events
+  // first and every receiver reads the carrier-sense claims and link
+  // outages as they stood when the quantum began; so what a receiver step
+  // produces for the trace, the medium's outage list and the collision
+  // log waits here, in node-id order, and is applied around the base step.
+  struct Outbox {
     std::vector<NetTraceEvent> events;
     std::vector<LinkOutage> outages;
-    // Mesh transmissions this shard's receivers started this quantum,
-    // in node-id order; merged at the barrier into the medium's collision
-    // log and the carrier-sense air claims. Claims are max() updates and
-    // the collision verdict scans the whole log, so the merged result is
-    // independent of shard count.
+    // Mesh transmissions receivers started this quantum; applied to the
+    // collision log and the carrier-sense claims before the base steps,
+    // so the base defers to node frames already on the air.
     struct TxNote {
       uint16_t from = 0;
       uint64_t start = 0, done = 0;
     };
     std::vector<TxNote> tx_notes;
-    int complete_delta = 0;  // net verified-store transitions this quantum
     void record(uint64_t cycle, uint8_t node, NetEventKind kind, uint32_t a,
                 uint32_t b) {
       events.push_back({cycle, node, kind, a, b});
-    }
-  };
-
-  // Per-machine TX completions buffered during the parallel phase (flat
-  // byte arena, reused across quanta) and replayed at the barrier in
-  // machine-id order — exactly the order the serial engine fires them
-  // from DeviceHub::sync, so the medium's PRNG rolls and the trace are
-  // reproduced byte for byte.
-  struct TxBuf {
-    struct Rec {
-      uint32_t off = 0, len = 0;
-      uint64_t done = 0;
-    };
-    std::vector<uint8_t> bytes;
-    std::vector<Rec> recs;
-    void clear() {
-      bytes.clear();
-      recs.clear();
     }
   };
 
@@ -538,21 +495,23 @@ class NetSim {
               uint32_t b);
   void send_frame(size_t node_id, const Frame& f);
   void send_data_frame(uint16_t seq, uint64_t now);
-  void drain_rx(size_t node_id, Deframer& d, std::vector<uint8_t>& scratch);
+  void drain_rx(size_t node_id, Deframer& d);
   void plan_node_faults();
-  void node_lifecycle(size_t idx, uint64_t now, ShardCtx& sc);
+  void node_lifecycle(Node& n, uint64_t now);
+  // Power a receiver off until now + down_bytes byte-times: volatile radio
+  // and reassembly state dies, and both link directions go dark.
+  void power_down(Node& n, uint64_t now, uint64_t down_bytes);
   void note_node_alive(size_t node_id);
   // Quota gate for unauthenticated liveness-granting frames claiming to be
   // from `node_id` (DESIGN.md §11): true while the node's budget lasts.
   bool liveness_credit(size_t node_id, uint64_t now);
   NodeAbortReason abort_reason_of(const Node& n) const;
   void step_base(uint64_t now);
-  void step_node(size_t idx, uint64_t now, ShardCtx& sc);
-  void step_hostile(Node& n, uint64_t now, ShardCtx& sc);
+  void step_node(Node& n, uint64_t now);
+  void step_hostile(Node& n, uint64_t now);
   void on_base_frame(const Frame& f, uint64_t now);
-  void on_node_frame(Node& n, const Frame& f, uint64_t now, ShardCtx& sc);
-  void node_send_nack(Node& n, uint64_t now, ShardCtx& sc);
-  void run_shard_quantum(ShardCtx& sc, uint64_t t);
+  void on_node_frame(Node& n, const Frame& f, uint64_t now);
+  void node_send_nack(Node& n, uint64_t now);
   // Wake schedule (DESIGN.md §9): the first quantum after `now` at which
   // receiver `n` must be stepped, and the cycle its deframer can next
   // decide something from received bytes.
@@ -560,22 +519,20 @@ class NetSim {
   uint64_t rx_ready_at(const Node& n) const;
   void wake_all();
   void deliver_tx(size_t id, std::span<const uint8_t> pkt, uint64_t done);
-  void replay_tx(size_t id);
 
   // Mesh protocol (DESIGN.md §10); all no-ops / unreachable in star mode.
   void apply_tx_note(size_t from, uint64_t start, uint64_t done);
-  void mesh_send(size_t id, const Frame& f, uint64_t now, ShardCtx* sc);
+  void mesh_send(size_t id, const Frame& f, uint64_t now);
   bool mesh_can_tx(size_t id, uint64_t now);
-  bool mesh_node_tx(Node& n, uint64_t now, ShardCtx& sc);
-  void mesh_note_summary(Node& n, uint16_t sender, uint16_t hop, uint64_t now,
-                         ShardCtx& sc);
+  bool mesh_node_tx(Node& n, uint64_t now);
+  void mesh_note_summary(Node& n, uint16_t sender, uint16_t hop,
+                         uint64_t now);
   void mesh_schedule_summary_relay(Node& n, uint64_t now);
-  void mesh_churn_parent(Node& n, uint64_t now, ShardCtx& sc);
+  void mesh_churn_parent(Node& n, uint64_t now);
 
-  // Engine core shared by disseminate() and rollout(): shard setup, the
-  // bulk-synchronous quantum loop (returns false when max_cycles ran out),
-  // and dissemination result assembly.
-  void setup_engine();
+  // Engine core shared by disseminate() and rollout(): the quantum loop
+  // (returns false when max_cycles ran out) and dissemination result
+  // assembly.
   bool run_loop();
   bool loop_done() const;
   void finish_dissem(DisseminationResult& res, bool budget_exhausted);
@@ -586,11 +543,10 @@ class NetSim {
   void step_base_rollout(uint64_t now);
   void base_send_control(uint16_t target, ControlCmd cmd, uint64_t now);
   void on_base_health(uint16_t origin, const HealthReport& hr, uint64_t now);
-  void on_node_control(Node& n, uint16_t target, const ControlInfo& ci,
-                       uint64_t now, ShardCtx& sc);
-  void step_node_rollout(Node& n, uint64_t now, ShardCtx& sc);
+  void on_node_control(Node& n, const ControlInfo& ci, uint64_t now);
+  void step_node_rollout(Node& n, uint64_t now);
   void node_queue_health(Node& n, uint8_t flags, uint32_t sends, uint64_t now);
-  void node_send_health(Node& n, uint64_t now, ShardCtx& sc);
+  void node_send_health(Node& n, uint64_t now);
   void finish_rollout(RolloutResult& rr);
 
   NetConfig cfg_;
@@ -604,11 +560,8 @@ class NetSim {
   // Effective per-node liveness quota (0 = unlimited; see
   // ProtocolParams::node_liveness_quota).
   uint32_t liveness_quota_ = 0;
-  // Hostile node (NetConfig::hostile_node): model + raw-byte scratch
-  // buffers. Touched only by the hostile node's owning shard, so the
-  // parallel phase stays race-free.
+  // Hostile node (NetConfig::hostile_node): model + raw transmit buffer.
   HostileModel* hostile_ = nullptr;
-  std::vector<uint8_t> hostile_rx_;
   std::vector<uint8_t> hostile_tx_;
 
   Medium medium_;
@@ -616,38 +569,34 @@ class NetSim {
   std::unique_ptr<Base> base_;
   std::vector<std::unique_ptr<Node>> nodes_;  // receiver i -> id i+1
 
-  // Sharded-engine state: shard spans + buffers, per-machine TX buffers,
-  // and per-machine frame-encode scratch (reused; no per-frame allocation).
-  std::vector<ShardCtx> shards_;
-  std::vector<TxBuf> txbufs_;
-  std::vector<std::vector<uint8_t>> encode_scratch_;
-  Frame data_scratch_;          // base Data frame, payload buffer reused
+  // Scratch buffers reused by every node's step (no per-frame allocation):
+  // received bytes, the deframed frame, frame encoding, an outgoing Data
+  // frame (base or peer serve) and a Nack's missing-chunk list.
+  std::vector<uint8_t> rx_scratch_;
+  Frame rx_frame_;
+  std::vector<uint8_t> encode_scratch_;
+  Frame data_frame_;
+  std::vector<uint16_t> nack_scratch_;
+  Outbox out_;
   // Mesh mode (NetConfig::topo names a spatial topology). Carrier sense:
   // air_busy_until_[id] is the cycle until which node id defers its own
   // transmissions — the max over heard neighbors' transmission ends (plus
-  // a short guard) and its own. Written only at the quantum barrier (and
-  // by the serial base step), read during the parallel phase, so shards
-  // share a consistent previous-quantum snapshot.
+  // a short guard) and its own. Receivers' claims land at the end of the
+  // quantum (Outbox::tx_notes), so every receiver reads the claims as they
+  // stood when the quantum began.
   bool mesh_ = false;
   std::vector<uint64_t> air_busy_until_;
-  bool phase_parallel_ = false; // true only inside the parallel phase:
-                                // routes tx_sink completions into txbufs_
-  size_t complete_count_ = 0;   // verified stores (transition-maintained)
+  size_t complete_count_ = 0;  // verified stores (transition-maintained)
 
-  // Engine state shared by disseminate()/rollout(): simulated time and the
-  // worker pool for the parallel phase (lazily built by setup_engine).
+  // Engine state shared by disseminate()/rollout(): simulated time.
   uint64_t t_ = 0;
-  std::unique_ptr<host::WorkPool> pool_;
   // Wake schedule (DESIGN.md §9): wake_at_[i] is the first quantum at which
   // receiver index i must be stepped, next_wake_ the minimum over all of
-  // them, and due_ the receiver indices stepped in the current quantum, in
-  // id order.
+  // them.
   std::vector<uint64_t> wake_at_;
   uint64_t next_wake_ = 0;
-  std::vector<uint32_t> due_;
-  // Staged rollout: orchestrator state (base-owned, touched only in the
-  // serial step), scripted trial behaviors (read-only during the parallel
-  // phase), and the fleet's currently-deployed image.
+  // Staged rollout: orchestrator state (touched only by the base step),
+  // scripted trial behaviors, and the fleet's currently-deployed image.
   struct Rollout;
   std::unique_ptr<Rollout> ro_;
   bool rollout_phase_ = false;
@@ -659,7 +608,6 @@ class NetSim {
   std::vector<NetTraceEvent> trace_;
   uint64_t trace_digest_ = 0xcbf29ce484222325ULL;  // FNV-1a running state
   size_t trace_count_ = 0;
-  bool ran_ = false;
 };
 
 // FNV-1a digest helper shared with tests.

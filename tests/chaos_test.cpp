@@ -92,6 +92,16 @@ TEST(Chaos, ReplayIsTraceIdentical) {
     EXPECT_EQ(a.run.tasks[i].state, b.run.tasks[i].state) << i;
     EXPECT_EQ(a.run.tasks[i].host_out, b.run.tasks[i].host_out) << i;
   }
+  // The network dimension: run_net_chaos replays each planned fleet
+  // (seeded crashes, wipes, reboots) itself and flags any divergence.
+  for (uint64_t seed : {7ULL, 19ULL, 23ULL}) {
+    chaos::NetChaosOptions net_opts;
+    net_opts.seed = seed;
+    const chaos::NetChaosResult res = chaos::run_net_chaos(net_opts);
+    EXPECT_TRUE(res.ok()) << "net seed " << seed << ": "
+                          << (res.violations.empty() ? ""
+                                                     : res.violations.front());
+  }
 }
 
 TEST(Chaos, AuditingChargesNoEmulatedCycles) {

@@ -292,22 +292,6 @@ TEST(MeshDissemination, GridConvergesWithCollisionsAndServes) {
   EXPECT_GT(chunk_served, 0u);
 }
 
-TEST(MeshDissemination, AutoShardMatchesExplicitShardCounts) {
-  // NetConfig::shards = 0 picks the shard count from the node count
-  // (serial below kMinNodesPerShard nodes per worker); whatever it picks
-  // must reproduce the explicit serial run byte-identically.
-  const auto blob = test_blob();
-  auto digest = [&](unsigned shards) {
-    net::NetConfig cfg = mesh_config(net::TopologyKind::Grid, 16, 10);
-    cfg.shards = shards;
-    net::NetSim sim(cfg, blob);
-    return sim.disseminate().trace_digest;
-  };
-  const uint64_t serial = digest(1);
-  EXPECT_EQ(digest(0), serial);
-  EXPECT_EQ(digest(4), serial);
-}
-
 // --- Peer-to-peer serving is the only path to out-of-range nodes ------------
 
 TEST(MeshDissemination, PeerServesFeedNodeTheBaseCannotReach) {

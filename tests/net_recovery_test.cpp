@@ -97,18 +97,39 @@ TEST(NetRecovery, ResumedTransferIsStrictlyCheaperThanColdRestart) {
 
 TEST(NetRecovery, FaultScheduleReplaysByteIdentically) {
   const auto blob = test_blob();
-  auto one = [&] {
-    net::NetSim sim(reboot_config(blob, false), blob);
-    return sim.disseminate();
-  };
-  const auto a = one();
-  const auto b = one();
-  EXPECT_EQ(a.trace_digest, b.trace_digest);
-  EXPECT_EQ(a.trace_events, b.trace_events);
-  EXPECT_EQ(a.cycles, b.cycles);
-  for (size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].resumed_chunks, b.nodes[i].resumed_chunks);
-    EXPECT_EQ(a.nodes[i].store_writes, b.nodes[i].store_writes);
+  // The scripted two-reboot schedule, and a fault-heavy seeded fleet:
+  // repeated crashes, cold (store-wiping) reboots, and a lossy link.
+  net::NetConfig seeded;
+  seeded.nodes = 6;
+  seeded.link.drop_pct = 10;
+  seeded.link.dup_pct = 3;
+  seeded.link.reorder_pct = 3;
+  seeded.link.corrupt_pct = 3;
+  seeded.chaos_seed = 0xF7EE7;
+  seeded.max_cycles = 2'000'000'000ULL;
+  seeded.node_faults.crash_pct = 80;
+  seeded.node_faults.max_crashes_per_node = 2;
+  seeded.node_faults.wipe_pct = 40;
+  seeded.node_faults.down_min_bytes = 64;
+  seeded.node_faults.down_max_bytes = 768;
+  for (const net::NetConfig& cfg : {reboot_config(blob, false), seeded}) {
+    auto one = [&] {
+      net::NetSim sim(cfg, blob);
+      return sim.disseminate();
+    };
+    const auto a = one();
+    const auto b = one();
+    EXPECT_EQ(a.trace_digest, b.trace_digest);
+    EXPECT_EQ(a.trace_events, b.trace_events);
+    EXPECT_EQ(a.cycles, b.cycles);
+    uint32_t crashes = 0;
+    for (size_t i = 0; i < a.nodes.size(); ++i) {
+      EXPECT_EQ(a.nodes[i].resumed_chunks, b.nodes[i].resumed_chunks);
+      EXPECT_EQ(a.nodes[i].store_writes, b.nodes[i].store_writes);
+      EXPECT_EQ(a.nodes[i].crashes, b.nodes[i].crashes);
+      crashes += a.nodes[i].crashes;
+    }
+    EXPECT_GT(crashes, 0u);  // the fault dimension actually exercised
   }
 }
 

@@ -2,7 +2,7 @@
 // codec and trial state machine, wave-by-wave fleet upgrade behind the
 // health gate, automatic rollback (gate trips, interrupted trials, fleet
 // halt past the failure budget), reboot-during-probation/rollback
-// regressions, and shard-count invariance of full rollout runs.
+// regressions, and byte-identical replay of a full mesh rollout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -632,7 +632,7 @@ TEST(NetRollout, HarnessLemonOverridesProbedBehavior) {
   EXPECT_EQ(run.result.nodes[2].final_crc, net::crc32(run.old_blob));
 }
 
-// --- NetShard: rollout runs are shard-count invariant -----------------------
+// --- A mesh rollout replays byte-identically --------------------------------
 
 struct RolloutFingerprint {
   uint64_t digest = 0;
@@ -651,11 +651,9 @@ struct RolloutFingerprint {
   bool operator==(const RolloutFingerprint&) const = default;
 };
 
-RolloutFingerprint rollout_fingerprint(net::NetConfig cfg,
+RolloutFingerprint rollout_fingerprint(const net::NetConfig& cfg,
                                        const std::vector<uint8_t>& ob,
-                                       const std::vector<uint8_t>& nb,
-                                       unsigned shards) {
-  cfg.shards = shards;
+                                       const std::vector<uint8_t>& nb) {
   net::NetSim sim(cfg, nb);
   sim.set_initial_image(ob, 0);
   net::TrialBehavior lemon;
@@ -676,13 +674,13 @@ RolloutFingerprint rollout_fingerprint(net::NetConfig cfg,
     fp.final_slots.push_back(r.nodes[id].final_slot);
     fp.final_crcs.push_back(r.nodes[id].final_crc);
     // Byte-identical persistent state, not just summary stats: the whole
-    // serialized store page must agree across shard counts.
+    // serialized store page must agree between runs.
     fp.store_pages.push_back(serialize_image_store(sim.node_store(id)));
   }
   return fp;
 }
 
-TEST(NetShard, RolloutGridInvariantAcrossShardCounts) {
+TEST(NetRollout, GridRolloutReplaysByteIdentically) {
   const auto ob = old_blob();
   const auto nb = new_blob();
   net::NetConfig cfg = rollout_config(16, 4, 2);
@@ -691,13 +689,10 @@ TEST(NetShard, RolloutGridInvariantAcrossShardCounts) {
   cfg.proto.node_give_up_probes = 0;
   cfg.max_cycles = 20'000'000'000ULL;
 
-  const RolloutFingerprint golden = rollout_fingerprint(cfg, ob, nb, 1);
+  const RolloutFingerprint golden = rollout_fingerprint(cfg, ob, nb);
   EXPECT_GT(golden.events, 0u);
   EXPECT_GE(golden.confirmed, 14u);  // the CrashBoot lemon fails, rest confirm
-  for (unsigned shards : {2u, 4u, 8u}) {
-    const RolloutFingerprint fp = rollout_fingerprint(cfg, ob, nb, shards);
-    EXPECT_EQ(fp, golden) << "shards=" << shards;
-  }
+  EXPECT_EQ(rollout_fingerprint(cfg, ob, nb), golden);
 }
 
 }  // namespace
