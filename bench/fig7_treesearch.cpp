@@ -18,25 +18,11 @@ using namespace sensmart;
 
 namespace {
 
-std::vector<assembler::Image> make_workload(uint16_t nodes, int n_search) {
-  std::vector<assembler::Image> images;
-  images.push_back(apps::data_feed_program(6, 64));
-  for (int i = 0; i < n_search; ++i) {
-    apps::TreeSearchParams p;
-    p.nodes_per_tree = nodes;
-    p.trees = 1;
-    p.searches = 32;
-    p.seed = static_cast<uint16_t>(0x3131 + 0x1D0B * i);
-    images.push_back(apps::tree_search_program(p));
-  }
-  return images;
-}
-
 sim::SystemRun run_workload(uint16_t nodes, int n_search) {
   sim::RunSpec spec;
   spec.kernel.initial_stack = 96;
   spec.max_cycles = 2'000'000'000ULL;
-  return sim::run_system(make_workload(nodes, n_search), spec);
+  return sim::run_system(apps::fig7_mix(nodes, n_search), spec);
 }
 
 bool all_completed(const sim::SystemRun& r, size_t expected) {

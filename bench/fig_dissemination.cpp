@@ -15,34 +15,41 @@
 // the mesh cost flatness ratio cpn(64 nodes) / cpn(8 nodes) at 10% loss
 // exceeds 2x.
 //
-// --recovery swaps the matrix for a reboot-rate x loss-rate grid: every
-// receiver suffers k seeded mid-transfer crash/reboot cycles (k = 0..2)
-// under each loss rate, exercising the persistent-store resume path
-// (DESIGN.md §8). The default matrix and --gate math are untouched.
+// Three other modes swap the matrix; each honours only --jobs (and
+// --rollout a bare --gate), and any other flag with them is a usage error:
 //
-// --adversarial swaps the matrix for the authentication overhead surface
-// (DESIGN.md §11): {star 8, grid 16} at 10% loss, crossed with MAC on/off
-// and a seeded hostile node on/off. Two gates ride on it: MAC-on honest
-// runs must stay within ±2% of the MAC-off completion cycles (the tag
-// bytes are the only added cost), and no MAC-on cell may ever count a
-// forged install. The default matrix, JSON and --gate math are untouched.
+// --recovery: a reboot-rate x loss-rate grid. Every receiver suffers k
+// seeded mid-transfer crash/reboot cycles (k = 0..2) under each loss
+// rate, exercising the persistent-store resume path (DESIGN.md §8).
 //
-// --rollout swaps the matrix for the staged-upgrade surface (DESIGN.md
-// §12): a fleet already running an old image is upgraded wave-by-wave to
-// the fig7 image behind the health gate, crossed with wave size, loss and
-// 0-2 seeded lemon trials against a failure budget of 1. Its gates are
-// intrinsic (no committed JSON): lemon-free cells must promote every node
-// to the byte-exact new image, one lemon must roll back exactly that node
-// while the rest confirm, and two lemons must trip the budget, halt the
-// rollout and leave every node byte-exact on the old image — no cell may
-// ever leave an unconfirmed trial active.
+// --adversarial: the authentication overhead surface (DESIGN.md §11):
+// {star 8, grid 16} at 10% loss, crossed with MAC on/off and a seeded
+// hostile node on/off. Two gates ride on it: MAC-on honest runs must stay
+// within the lossless MAC-tax bound of the MAC-off completion cycles, and
+// no MAC-on cell may ever count a forged install.
 //
-//   fig_dissemination [--smoke] [--recovery] [--adversarial] [--rollout]
-//                     [--jobs N] [--json PATH] [--gate [BENCH.json]]
+// --rollout: the staged-upgrade surface (DESIGN.md §12): a fleet already
+// running an old image is upgraded wave-by-wave to the fig7 image behind
+// the health gate, crossed with wave size, loss and 0-2 seeded lemon
+// trials against a failure budget of 1. Its gates are intrinsic (no
+// committed JSON): lemon-free cells must promote every node to the
+// byte-exact new image, one lemon must roll back exactly that node while
+// the rest confirm, and two lemons must trip the budget, halt the rollout
+// and leave every node byte-exact on the old image — no cell may ever
+// leave an unconfirmed trial active.
+//
+// In every matrix an honest cell (no hostile node) must converge with
+// every node's image byte-identical to the source.
+//
+//   fig_dissemination [--smoke] [--jobs N] [--json PATH]
+//   fig_dissemination --gate [BENCH.json] [--jobs N]
+//   fig_dissemination --recovery | --adversarial [--jobs N]
+//   fig_dissemination --rollout [--gate] [--jobs N]
 #include <cstdint>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,51 +66,59 @@ using namespace sensmart;
 namespace {
 
 constexpr uint64_t kChaosSeed = 0x5EED;
+constexpr const char* kBenchJson = "BENCH_dissemination.json";
 
-struct Cell {
-  const char* topo = "star";
-  net::TopologyKind kind = net::TopologyKind::Star;
-  size_t nodes = 0;
-  uint32_t drop_pct = 0;
-  net::DisseminationResult res;
-
-  uint64_t cycles_per_node() const {
-    return res.cycles / (nodes ? nodes : 1);
-  }
-  uint64_t chunks_served() const {
-    uint64_t v = 0;
-    for (const auto& n : res.nodes) v += n.chunks_served;
-    return v;
-  }
-  double radio_seconds() const {
-    return double(res.cycles) / double(emu::kClockHz);
-  }
-  uint64_t rx_bytes_total() const {
-    uint64_t b = 0;
-    for (const auto& n : res.nodes) b += n.bytes_rx;
-    return b;
-  }
-  uint64_t nacks_total() const {
-    uint64_t n = 0;
-    for (const auto& s : res.nodes) n += s.nacks_sent;
-    return n;
-  }
-};
-
-std::vector<uint8_t> fig7_image_blob() {
-  std::vector<assembler::Image> images;
-  images.push_back(apps::data_feed_program(6, 64));
-  for (int i = 0; i < 2; ++i) {
-    apps::TreeSearchParams p;
-    p.nodes_per_tree = 8;
-    p.trees = 1;
-    p.searches = 32;
-    p.seed = static_cast<uint16_t>(0x3131 + 0x1D0B * i);
-    images.push_back(apps::tree_search_program(p));
-  }
+std::vector<uint8_t> link_blob(const std::vector<assembler::Image>& images) {
   rw::Linker linker;
   for (const auto& img : images) linker.add(img);
   return net::serialize_system(linker.link());
+}
+
+std::vector<uint8_t> fig7_image_blob() {
+  return link_blob(apps::fig7_mix(8, 2));
+}
+
+double radio_seconds(uint64_t cycles) {
+  return double(cycles) / double(emu::kClockHz);
+}
+
+using Stats = net::NodeDissemStats;
+
+template <class T>
+uint64_t sum_nodes(const net::DisseminationResult& res, T Stats::*field) {
+  uint64_t v = 0;
+  for (const auto& n : res.nodes) v += n.*field;
+  return v;
+}
+
+// The defaults every matrix shares. Mesh end-games ride on relayed acks
+// through a contended channel; a straggler can outlive the star-tuned
+// abandon bound, so on a mesh the base never gives up and the budget is
+// larger.
+net::NetConfig cell_config(net::TopologyKind kind, size_t nodes,
+                           uint32_t drop_pct) {
+  net::NetConfig cfg;
+  cfg.nodes = nodes;
+  cfg.link.drop_pct = drop_pct;
+  cfg.chaos_seed = kChaosSeed;
+  cfg.max_cycles = 8'000'000'000ULL;
+  cfg.topo.kind = kind;
+  if (cfg.topo.mesh()) {
+    cfg.proto.node_give_up_probes = 0;
+    cfg.max_cycles = 64'000'000'000ULL;
+  }
+  return cfg;
+}
+
+std::string describe(const net::NetConfig& cfg) {
+  std::ostringstream os;
+  os << net::to_string(cfg.topo.kind) << " nodes=" << cfg.nodes
+     << " drop=" << cfg.link.drop_pct << "%";
+  if (cfg.proto.auth) os << " mac";
+  if (cfg.hostile_node) os << " hostile=" << cfg.hostile_node;
+  if (cfg.node_faults.any())
+    os << " reboots=" << cfg.node_faults.max_crashes_per_node;
+  return os.str();
 }
 
 // Per-node failure detail for a non-converged cell: one line per
@@ -121,177 +136,106 @@ void report_abort_reasons(const net::DisseminationResult& res) {
   if (res.budget_exhausted) std::cerr << "  (cycle budget exhausted)\n";
 }
 
-const char* topo_name(net::TopologyKind k) {
-  switch (k) {
-    case net::TopologyKind::Star: return "star";
-    case net::TopologyKind::Line: return "line";
-    case net::TopologyKind::Grid: return "grid";
-    case net::TopologyKind::Random: return "random";
-  }
-  return "?";
-}
-
-Cell run_cell(const std::vector<uint8_t>& blob, size_t nodes,
-              uint32_t drop_pct,
-              net::TopologyKind kind = net::TopologyKind::Star) {
-  Cell c;
-  c.kind = kind;
-  c.topo = topo_name(kind);
-  c.nodes = nodes;
-  c.drop_pct = drop_pct;
+struct Cell {
   net::NetConfig cfg;
-  cfg.nodes = nodes;
-  cfg.link.drop_pct = drop_pct;
-  cfg.chaos_seed = kChaosSeed;
-  cfg.max_cycles = 8'000'000'000ULL;
-  if (kind != net::TopologyKind::Star) {
-    cfg.topo.kind = kind;
-    // Mesh end-games ride on relayed acks through a contended channel; a
-    // straggler can outlive the star-tuned abandon bound, so the base
-    // never gives up.
-    cfg.proto.node_give_up_probes = 0;
-    cfg.max_cycles = 64'000'000'000ULL;
+  net::DisseminationResult res;
+  uint32_t forged_installs = 0;  // honest nodes done with foreign bytes
+
+  const char* topo() const { return net::to_string(cfg.topo.kind); }
+  bool hostile() const { return cfg.hostile_node != 0; }
+  uint64_t cycles_per_node() const {
+    return res.cycles / (cfg.nodes ? cfg.nodes : 1);
+  }
+};
+
+// One dissemination run; exits the bench on a gate violation. Every cell
+// must end before its cycle budget. An honest cell must also converge
+// with byte-identical images; a cell with a hostile node (its seeded
+// attacker attached here) instead counts the forged installs.
+Cell run_cell(const std::vector<uint8_t>& blob, const net::NetConfig& cfg) {
+  Cell c{cfg, {}, 0};
+  std::optional<chaos::HostileNode> attacker;
+  if (c.hostile()) {
+    chaos::HostileProfile p;
+    p.seed = 0xD15EA5E;
+    p.node = cfg.hostile_node;
+    p.nodes = static_cast<uint16_t>(cfg.nodes);
+    p.chunk_payload = cfg.proto.chunk_payload;
+    p.intensity_pct = 35;
+    attacker.emplace(p);
   }
   net::NetSim sim(cfg, blob);
+  if (attacker) sim.set_hostile_model(&*attacker);
   c.res = sim.disseminate();
-  if (!c.res.all_acked) {
-    std::cerr << "fig_dissemination: cell topo=" << c.topo
-              << " nodes=" << nodes << " drop=" << drop_pct
-              << "% did not converge\n";
+
+  auto fail = [&](const std::string& why) {
+    std::cerr << "fig_dissemination: cell " << describe(cfg) << " " << why
+              << "\n";
     report_abort_reasons(c.res);
     std::exit(1);
-  }
-  for (size_t id = 1; id <= nodes; ++id) {
-    if (sim.node_blob(id) != blob) {
-      std::cerr << "fig_dissemination: node " << id
-                << " image not byte-identical (nodes=" << nodes
-                << " drop=" << drop_pct << "%)\n";
-      std::exit(1);
-    }
+  };
+  if (c.res.budget_exhausted) fail("exhausted the cycle budget");
+  if (!c.hostile() && !c.res.all_acked) fail("did not converge");
+  for (size_t id = 1; id <= cfg.nodes; ++id) {
+    if (id == cfg.hostile_node || sim.node_blob(id) == blob) continue;
+    if (!c.hostile())
+      fail("node " + std::to_string(id) + " image not byte-identical");
+    if (sim.node_complete(id)) ++c.forged_installs;
   }
   return c;
 }
 
-struct CellSpec {
-  net::TopologyKind kind;
-  size_t nodes;
-  uint32_t drop_pct;
-};
-
+// Each cell is an independent deterministic simulation; a matrix is
+// identical for any --jobs value.
 std::vector<Cell> run_cells(const std::vector<uint8_t>& blob,
-                            const std::vector<CellSpec>& specs,
+                            const std::vector<net::NetConfig>& cfgs,
                             unsigned jobs) {
-  // Each cell is an independent deterministic simulation; the matrix is
-  // identical for any --jobs value.
   return host::sweep_collect<Cell>(
-      specs.size(), host::effective_jobs(jobs, specs.size()),
-      [&](std::size_t i) {
-        return run_cell(blob, specs[i].nodes, specs[i].drop_pct,
-                        specs[i].kind);
-      });
+      cfgs.size(), host::effective_jobs(jobs, cfgs.size()),
+      [&](std::size_t i) { return run_cell(blob, cfgs[i]); });
 }
 
-std::vector<Cell> run_matrix(const std::vector<uint8_t>& blob,
-                             const std::vector<size_t>& node_counts,
-                             const std::vector<uint32_t>& drops,
-                             unsigned jobs) {
-  std::vector<CellSpec> specs;
+std::vector<net::NetConfig> star_matrix(const std::vector<size_t>& node_counts,
+                                        const std::vector<uint32_t>& drops) {
+  std::vector<net::NetConfig> cfgs;
   for (size_t n : node_counts)
     for (uint32_t d : drops)
-      specs.push_back({net::TopologyKind::Star, n, d});
-  return run_cells(blob, specs, jobs);
+      cfgs.push_back(cell_config(net::TopologyKind::Star, n, d));
+  return cfgs;
 }
 
 // The mesh matrix: placements x sizes x loss. The grid 8/64 pair at 10%
 // loss is the flatness surface --gate checks.
-std::vector<CellSpec> mesh_specs(bool smoke) {
+std::vector<net::NetConfig> mesh_matrix(bool smoke) {
   using net::TopologyKind;
-  if (smoke) return {{TopologyKind::Grid, 8, 10}};
+  if (smoke) return {cell_config(TopologyKind::Grid, 8, 10)};
   return {
-      {TopologyKind::Line, 8, 10},    {TopologyKind::Random, 12, 10},
-      {TopologyKind::Grid, 8, 0},     {TopologyKind::Grid, 8, 10},
-      {TopologyKind::Grid, 24, 10},   {TopologyKind::Grid, 64, 10},
+      cell_config(TopologyKind::Line, 8, 10),
+      cell_config(TopologyKind::Random, 12, 10),
+      cell_config(TopologyKind::Grid, 8, 0),
+      cell_config(TopologyKind::Grid, 8, 10),
+      cell_config(TopologyKind::Grid, 24, 10),
+      cell_config(TopologyKind::Grid, 64, 10),
   };
 }
 
 // Recovery matrix (--recovery): fixed 4-node network, every receiver
 // crashes and reboots k times mid-transfer (seeded, store preserved),
-// crossed with the loss rates. Convergence is required: a reboot is an
-// outage, not a death sentence, so every cell must still end all-acked
-// with byte-identical images.
-struct RecoveryCell {
-  uint32_t crashes_per_node = 0;
-  uint32_t drop_pct = 0;
-  net::DisseminationResult res;
-
-  double radio_seconds() const {
-    return double(res.cycles) / double(emu::kClockHz);
-  }
-  uint64_t sum_nodes(uint64_t net::NodeDissemStats::* f) const {
-    uint64_t v = 0;
-    for (const auto& n : res.nodes) v += n.*f;
-    return v;
-  }
-  uint64_t crashes() const {
-    uint64_t v = 0;
-    for (const auto& n : res.nodes) v += n.crashes;
-    return v;
-  }
-  uint64_t resumed_chunks() const {
-    uint64_t v = 0;
-    for (const auto& n : res.nodes) v += n.resumed_chunks;
-    return v;
-  }
-};
-
-RecoveryCell run_recovery_cell(const std::vector<uint8_t>& blob,
-                               uint32_t crashes_per_node,
-                               uint32_t drop_pct) {
-  RecoveryCell c;
-  c.crashes_per_node = crashes_per_node;
-  c.drop_pct = drop_pct;
-  net::NetConfig cfg;
-  cfg.nodes = 4;
-  cfg.link.drop_pct = drop_pct;
-  cfg.chaos_seed = kChaosSeed;
-  cfg.max_cycles = 8'000'000'000ULL;
-  if (crashes_per_node > 0) {
-    cfg.node_faults.crash_pct = 100;  // every node reboots k times
-    cfg.node_faults.max_crashes_per_node = crashes_per_node;
-    cfg.node_faults.down_min_bytes = 256;
-    cfg.node_faults.down_max_bytes = 2048;
-  }
-  net::NetSim sim(cfg, blob);
-  c.res = sim.disseminate();
-  if (!c.res.all_acked) {
-    std::cerr << "fig_dissemination: recovery cell reboots="
-              << crashes_per_node << " drop=" << drop_pct
-              << "% did not converge\n";
-    report_abort_reasons(c.res);
-    std::exit(1);
-  }
-  for (size_t id = 1; id <= cfg.nodes; ++id) {
-    if (sim.node_blob(id) != blob) {
-      std::cerr << "fig_dissemination: node " << id
-                << " image not byte-identical after recovery (reboots="
-                << crashes_per_node << " drop=" << drop_pct << "%)\n";
-      std::exit(1);
+// crossed with the loss rates. A reboot is an outage, not a death
+// sentence, so every cell must still converge.
+int run_recovery(const std::vector<uint8_t>& blob, unsigned jobs) {
+  std::vector<net::NetConfig> cfgs;
+  for (uint32_t k : {0u, 1u, 2u}) {
+    for (uint32_t d : {0u, 10u, 25u}) {
+      net::NetConfig cfg = cell_config(net::TopologyKind::Star, 4, d);
+      cfg.node_faults.crash_pct = k > 0 ? 100 : 0;  // every node, k times
+      cfg.node_faults.max_crashes_per_node = k;
+      cfg.node_faults.down_min_bytes = 256;
+      cfg.node_faults.down_max_bytes = 2048;
+      cfgs.push_back(cfg);
     }
   }
-  return c;
-}
-
-int run_recovery(const std::vector<uint8_t>& blob, unsigned jobs) {
-  const std::vector<uint32_t> reboot_counts = {0, 1, 2};
-  const std::vector<uint32_t> drops = {0, 10, 25};
-  std::vector<std::pair<uint32_t, uint32_t>> grid;
-  for (uint32_t k : reboot_counts)
-    for (uint32_t d : drops) grid.emplace_back(k, d);
-  const auto cells = host::sweep_collect<RecoveryCell>(
-      grid.size(), host::effective_jobs(jobs, grid.size()),
-      [&](std::size_t i) {
-        return run_recovery_cell(blob, grid[i].first, grid[i].second);
-      });
+  const auto cells = run_cells(blob, cfgs, jobs);
 
   std::cout << "Dissemination under node crash/reboot faults (4 nodes, "
             << blob.size() << " bytes, " << cells[0].res.total_chunks
@@ -299,14 +243,14 @@ int run_recovery(const std::vector<uint8_t>& blob, unsigned jobs) {
   sim::Table t({"Reboots/node", "Drop%", "Time(s)", "Crashes", "Resumed",
                 "Retx", "StoreWrites", "Converged"},
                13);
-  for (const RecoveryCell& c : cells) {
-    t.row({sim::Table::num(uint64_t(c.crashes_per_node)),
-           sim::Table::num(uint64_t(c.drop_pct)),
-           sim::Table::num(c.radio_seconds(), 2),
-           sim::Table::num(c.crashes()),
-           sim::Table::num(c.resumed_chunks()),
+  for (const Cell& c : cells) {
+    t.row({sim::Table::num(uint64_t(c.cfg.node_faults.max_crashes_per_node)),
+           sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
+           sim::Table::num(radio_seconds(c.res.cycles), 2),
+           sim::Table::num(sum_nodes(c.res, &Stats::crashes)),
+           sim::Table::num(sum_nodes(c.res, &Stats::resumed_chunks)),
            sim::Table::num(c.res.base.retransmissions),
-           sim::Table::num(c.sum_nodes(&net::NodeDissemStats::store_writes)),
+           sim::Table::num(sum_nodes(c.res, &Stats::store_writes)),
            c.res.all_acked ? "yes" : "NO"});
   }
   t.print();
@@ -326,84 +270,20 @@ int run_recovery(const std::vector<uint8_t>& blob, unsigned jobs) {
 // the authentication tax; the hostile cells show what an attacker costs a
 // defended fleet (and what it wins against an undefended one).
 
-struct AdvCell {
-  net::TopologyKind kind = net::TopologyKind::Star;
-  size_t nodes = 0;
-  bool auth = false;
-  bool hostile = false;
-  uint32_t drop_pct = 0;
-  net::DisseminationResult res;
-  uint32_t forged_installs = 0;  // nodes that completed with foreign bytes
-  uint64_t auth_rejects = 0;     // assembled images killed at the MAC gate
-  uint64_t hostile_frames = 0;   // attack frames injected
-
-  double radio_seconds() const {
-    return double(res.cycles) / double(emu::kClockHz);
-  }
-};
-
-AdvCell run_adv_cell(const std::vector<uint8_t>& blob, net::TopologyKind kind,
-                     size_t nodes, bool auth, bool hostile,
-                     uint32_t drop_pct) {
-  AdvCell c;
-  c.kind = kind;
-  c.nodes = nodes;
-  c.auth = auth;
-  c.hostile = hostile;
-  c.drop_pct = drop_pct;
-  net::NetConfig cfg;
-  cfg.nodes = nodes;
-  cfg.link.drop_pct = drop_pct;
-  cfg.chaos_seed = kChaosSeed;
-  cfg.max_cycles = 8'000'000'000ULL;
+net::NetConfig adv_config(net::TopologyKind kind, size_t nodes,
+                          uint32_t drop_pct, bool auth, bool hostile) {
+  net::NetConfig cfg = cell_config(kind, nodes, drop_pct);
   cfg.proto.auth = auth;
-  const uint16_t attacker_id = kind == net::TopologyKind::Star ? 3 : 5;
-  if (kind != net::TopologyKind::Star) {
-    cfg.topo.kind = kind;
-    // Honest mesh cells keep the convergence-matrix setting (never give
-    // up: a distant mid-transfer node looks silent at the base). Attacked
-    // cells need a finite abandon bound — the hostile node never Acks, so
-    // without one the run could only end at the cycle budget. The bound is
-    // generous enough that honest stragglers revive (any frame revives an
-    // abandoned node) and finish; the MAC-overhead gate only compares the
-    // honest cells, which share a config.
-    cfg.proto.node_give_up_probes = hostile ? 96 : 0;
-    cfg.max_cycles = 64'000'000'000ULL;
+  if (hostile) {
+    cfg.hostile_node = kind == net::TopologyKind::Star ? 3 : 5;
+    // Attacked mesh cells need a finite abandon bound — the hostile node
+    // never Acks, so without one the run could only end at the cycle
+    // budget. The bound is generous enough that honest stragglers revive
+    // (any frame revives an abandoned node) and finish; the MAC-overhead
+    // gate only compares the honest cells, which share a config.
+    if (cfg.topo.mesh()) cfg.proto.node_give_up_probes = 96;
   }
-  chaos::HostileProfile p;
-  p.seed = 0xD15EA5E;
-  p.node = attacker_id;
-  p.nodes = static_cast<uint16_t>(nodes);
-  p.chunk_payload = cfg.proto.chunk_payload;
-  p.intensity_pct = 35;
-  chaos::HostileNode attacker(p);
-  if (hostile) cfg.hostile_node = attacker_id;
-
-  net::NetSim sim(cfg, blob);
-  if (hostile) sim.set_hostile_model(&attacker);
-  c.res = sim.disseminate();
-  if (c.res.budget_exhausted) {
-    std::cerr << "fig_dissemination: adversarial cell " << topo_name(kind)
-              << " nodes=" << nodes << " mac=" << auth
-              << " hostile=" << hostile << " exhausted the cycle budget\n";
-    report_abort_reasons(c.res);
-    std::exit(1);
-  }
-  if (!hostile && !c.res.all_acked) {
-    std::cerr << "fig_dissemination: honest adversarial-matrix cell "
-              << topo_name(kind) << " nodes=" << nodes << " mac=" << auth
-              << " did not converge\n";
-    report_abort_reasons(c.res);
-    std::exit(1);
-  }
-  for (size_t id = 1; id <= nodes; ++id) {
-    if (hostile && id == attacker_id) continue;
-    if (sim.node_complete(id) && sim.node_blob(id) != blob)
-      ++c.forged_installs;
-  }
-  for (const auto& n : c.res.nodes) c.auth_rejects += n.auth_rejects;
-  if (hostile) c.hostile_frames = attacker.frames_emitted();
-  return c;
+  return cfg;
 }
 
 int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
@@ -418,25 +298,15 @@ int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
   // deterministic, so that pair measures the pure authentication tax —
   // at 10% loss the tag bytes shift frame timing against the seeded drop
   // rolls and the alignment luck (±5%) buries the tax (~0.3%).
-  struct AdvSpec {
-    Scenario s;
-    bool auth;
-    bool hostile;
-    uint32_t drop;
-  };
-  std::vector<AdvSpec> specs;
+  std::vector<net::NetConfig> cfgs;
   for (const Scenario& s : scenarios) {
     for (bool auth : {false, true})
-      for (bool hostile : {false, true}) specs.push_back({s, auth, hostile, 10});
-    for (bool auth : {false, true}) specs.push_back({s, auth, false, 0});
+      for (bool hostile : {false, true})
+        cfgs.push_back(adv_config(s.kind, s.nodes, 10, auth, hostile));
+    for (bool auth : {false, true})
+      cfgs.push_back(adv_config(s.kind, s.nodes, 0, auth, false));
   }
-
-  const auto cells = host::sweep_collect<AdvCell>(
-      specs.size(), host::effective_jobs(jobs, specs.size()),
-      [&](std::size_t i) {
-        return run_adv_cell(blob, specs[i].s.kind, specs[i].s.nodes,
-                            specs[i].auth, specs[i].hostile, specs[i].drop);
-      });
+  const auto cells = run_cells(blob, cfgs, jobs);
 
   std::cout << "Authentication overhead and hostile-node cost ("
             << blob.size() << " bytes, " << cells[0].res.total_chunks
@@ -445,17 +315,17 @@ int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
                 "AirBytes", "Done", "Gaveup", "Forged", "MacRej", "AckRej",
                 "Squelch"},
                11);
-  for (const AdvCell& c : cells) {
-    t.row({topo_name(c.kind), sim::Table::num(uint64_t(c.nodes)),
-           sim::Table::num(uint64_t(c.drop_pct)),
-           c.auth ? "on" : "off", c.hostile ? "on" : "off",
-           sim::Table::num(c.radio_seconds(), 2),
+  for (const Cell& c : cells) {
+    t.row({c.topo(), sim::Table::num(uint64_t(c.cfg.nodes)),
+           sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
+           c.cfg.proto.auth ? "on" : "off", c.hostile() ? "on" : "off",
+           sim::Table::num(radio_seconds(c.res.cycles), 2),
            sim::Table::num(double(c.res.cycles) / 1e6, 1),
            sim::Table::num(c.res.medium.bytes_on_air),
            sim::Table::num(uint64_t(c.res.complete_count)),
            sim::Table::num(uint64_t(c.res.abandoned_count)),
            sim::Table::num(uint64_t(c.forged_installs)),
-           sim::Table::num(c.auth_rejects),
+           sim::Table::num(sum_nodes(c.res, &Stats::auth_rejects)),
            sim::Table::num(c.res.base.acks_rejected),
            sim::Table::num(c.res.base.frames_squelched)});
   }
@@ -469,17 +339,17 @@ int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
   // 8-byte tag inflates by 38-73% each, so the honest bound is looser; the
   // gate pins it from growing past 25% rather than pretending it is free.
   bool ok = true;
-  for (const AdvCell& c : cells) {
-    if (c.auth && c.forged_installs > 0) {
+  for (const Cell& c : cells) {
+    if (c.cfg.proto.auth && c.forged_installs > 0) {
       std::cerr << "fig_dissemination: FAIL — " << c.forged_installs
-                << " forged install(s) on " << topo_name(c.kind)
-                << " with MAC on\n";
+                << " forged install(s) on " << c.topo() << " with MAC on\n";
       ok = false;
     }
   }
   auto honest_cycles = [&](const Scenario& s, bool auth) -> uint64_t {
-    for (const AdvCell& c : cells)
-      if (c.kind == s.kind && c.auth == auth && !c.hostile && c.drop_pct == 0)
+    for (const Cell& c : cells)
+      if (c.cfg.topo.kind == s.kind && c.cfg.proto.auth == auth &&
+          !c.hostile() && c.cfg.link.drop_pct == 0)
         return c.res.cycles;
     return 0;
   };
@@ -488,14 +358,14 @@ int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
     const uint64_t on = honest_cycles(s, true);
     const double drift = double(on) / double(off) - 1.0;
     const double bound = s.kind == net::TopologyKind::Star ? 0.02 : 0.25;
-    std::cout << "adversarial gate [mac overhead, " << topo_name(s.kind)
+    std::cout << "adversarial gate [mac overhead, " << net::to_string(s.kind)
               << " lossless]: " << on << " vs " << off << " cycles ("
               << sim::Table::num(100.0 * drift, 2) << "% drift, tolerance ±"
               << sim::Table::num(100.0 * bound, 0) << "%)\n";
     if (drift > bound || drift < -bound) {
       std::cerr << "fig_dissemination: FAIL — MAC overhead beyond "
                 << sim::Table::num(100.0 * bound, 0) << "% on "
-                << topo_name(s.kind) << "\n";
+                << net::to_string(s.kind) << "\n";
       ok = false;
     }
   }
@@ -517,23 +387,14 @@ std::vector<uint8_t> old_image_blob() {
   p.trees = 1;
   p.searches = 16;
   p.seed = 0x0101;
-  rw::Linker linker;
-  linker.add(apps::tree_search_program(p));
-  return net::serialize_system(linker.link());
+  return link_blob({apps::tree_search_program(p)});
 }
 
 struct RolloutCell {
-  net::TopologyKind kind = net::TopologyKind::Star;
-  size_t nodes = 0;
-  uint32_t drop_pct = 0;
-  uint32_t wave_size = 0;
+  net::NetConfig cfg;
   uint32_t lemons = 0;
   net::RolloutResult res;
   std::vector<std::string> failures;  // intrinsic gate violations
-
-  double radio_seconds() const {
-    return double(res.cycles) / double(emu::kClockHz);
-  }
 };
 
 RolloutCell run_rollout_cell(const std::vector<uint8_t>& new_blob,
@@ -542,31 +403,18 @@ RolloutCell run_rollout_cell(const std::vector<uint8_t>& new_blob,
                              uint32_t drop_pct, uint32_t wave_size,
                              uint32_t lemons) {
   RolloutCell c;
-  c.kind = kind;
-  c.nodes = nodes;
-  c.drop_pct = drop_pct;
-  c.wave_size = wave_size;
+  c.cfg = cell_config(kind, nodes, drop_pct);
+  c.cfg.proto.auth = true;  // control and health frames ride keyed tags
+  c.cfg.rollout.enabled = true;
+  c.cfg.rollout.wave_size = wave_size;
+  c.cfg.rollout.failure_budget = 1;
   c.lemons = lemons;
-  net::NetConfig cfg;
-  cfg.nodes = nodes;
-  cfg.link.drop_pct = drop_pct;
-  cfg.chaos_seed = kChaosSeed;
-  cfg.max_cycles = 8'000'000'000ULL;
-  cfg.proto.auth = true;  // control and health frames ride keyed tags
-  cfg.rollout.enabled = true;
-  cfg.rollout.wave_size = wave_size;
-  cfg.rollout.failure_budget = 1;
-  if (kind != net::TopologyKind::Star) {
-    cfg.topo.kind = kind;
-    cfg.proto.node_give_up_probes = 0;
-    cfg.max_cycles = 64'000'000'000ULL;
-  }
   // Seeded lemons: the first trips the supervision gate mid-probation, the
   // second crash-loops. With budget 1, one is absorbed (rolled back alone),
   // two halt the rollout and roll the whole fleet back.
   const uint16_t lemon_a = kind == net::TopologyKind::Star ? 3 : 6;
   const uint16_t lemon_b = kind == net::TopologyKind::Star ? 6 : 11;
-  net::NetSim sim(cfg, new_blob);
+  net::NetSim sim(c.cfg, new_blob);
   sim.set_initial_image(old_blob, 0);
   if (lemons >= 1) {
     net::TrialBehavior b;
@@ -658,21 +506,21 @@ int run_rollout_matrix(unsigned jobs) {
                10);
   bool ok = true;
   for (const RolloutCell& c : cells) {
-    t.row({topo_name(c.kind), sim::Table::num(uint64_t(c.nodes)),
-           sim::Table::num(uint64_t(c.drop_pct)),
-           sim::Table::num(uint64_t(c.wave_size)),
+    t.row({net::to_string(c.cfg.topo.kind),
+           sim::Table::num(uint64_t(c.cfg.nodes)),
+           sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
+           sim::Table::num(uint64_t(c.cfg.rollout.wave_size)),
            sim::Table::num(uint64_t(c.lemons)),
-           sim::Table::num(c.radio_seconds(), 2),
+           sim::Table::num(radio_seconds(c.res.cycles), 2),
            sim::Table::num(uint64_t(c.res.waves)),
            sim::Table::num(uint64_t(c.res.confirmed)),
            sim::Table::num(uint64_t(c.res.rolled_back)),
            sim::Table::num(uint64_t(c.res.gave_up)),
            c.res.halted ? "yes" : "no", c.failures.empty() ? "ok" : "FAIL"});
     for (const std::string& f : c.failures) {
-      std::cerr << "fig_dissemination: rollout cell " << topo_name(c.kind)
-                << " nodes=" << c.nodes << " drop=" << c.drop_pct
-                << "% wave=" << c.wave_size << " lemons=" << c.lemons << ": "
-                << f << "\n";
+      std::cerr << "fig_dissemination: rollout cell " << describe(c.cfg)
+                << " wave=" << c.cfg.rollout.wave_size
+                << " lemons=" << c.lemons << ": " << f << "\n";
       ok = false;
     }
   }
@@ -692,6 +540,8 @@ int run_rollout_matrix(unsigned jobs) {
   return 0;
 }
 
+// --- Default matrix and its regression gate ----------------------------------
+
 uint64_t total_cycles(const std::vector<Cell>& cells) {
   uint64_t t = 0;
   for (const auto& c : cells) t += c.res.cycles;
@@ -699,16 +549,17 @@ uint64_t total_cycles(const std::vector<Cell>& cells) {
 }
 
 // Mesh gate surface: the flatness pair (grid 8 and grid 64 at 10% loss).
-const Cell* find_cell(const std::vector<Cell>& cells, net::TopologyKind k,
-                      size_t nodes, uint32_t drop) {
+const Cell* find_grid_cell(const std::vector<Cell>& cells, size_t nodes) {
   for (const Cell& c : cells)
-    if (c.kind == k && c.nodes == nodes && c.drop_pct == drop) return &c;
+    if (c.cfg.topo.kind == net::TopologyKind::Grid && c.cfg.nodes == nodes &&
+        c.cfg.link.drop_pct == 10)
+      return &c;
   return nullptr;
 }
 
 double flatness_ratio(const std::vector<Cell>& mesh) {
-  const Cell* small = find_cell(mesh, net::TopologyKind::Grid, 8, 10);
-  const Cell* big = find_cell(mesh, net::TopologyKind::Grid, 64, 10);
+  const Cell* small = find_grid_cell(mesh, 8);
+  const Cell* big = find_grid_cell(mesh, 64);
   if (!small || !big) return 0.0;
   return double(big->cycles_per_node()) / double(small->cycles_per_node());
 }
@@ -727,15 +578,15 @@ void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
   for (const Cell& c : mesh) all.push_back(&c);
   for (size_t i = 0; i < all.size(); ++i) {
     const Cell& c = *all[i];
-    os << "    {\"topology\": \"" << c.topo << "\", \"nodes\": " << c.nodes
-       << ", \"drop_pct\": " << c.drop_pct
+    os << "    {\"topology\": \"" << c.topo() << "\", \"nodes\": "
+       << c.cfg.nodes << ", \"drop_pct\": " << c.cfg.link.drop_pct
        << ", \"cycles\": " << c.res.cycles
        << ", \"cycles_per_node\": " << c.cycles_per_node()
        << ", \"bytes_on_air\": " << c.res.medium.bytes_on_air
-       << ", \"rx_bytes\": " << c.rx_bytes_total()
-       << ", \"nacks\": " << c.nacks_total()
+       << ", \"rx_bytes\": " << sum_nodes(c.res, &Stats::bytes_rx)
+       << ", \"nacks\": " << sum_nodes(c.res, &Stats::nacks_sent)
        << ", \"retransmissions\": " << c.res.base.retransmissions
-       << ", \"chunks_served\": " << c.chunks_served()
+       << ", \"chunks_served\": " << sum_nodes(c.res, &Stats::chunks_served)
        << ", \"collisions\": " << c.res.medium.collisions
        << ", \"trace_digest\": " << c.res.trace_digest << "}"
        << (i + 1 < all.size() ? "," : "") << "\n";
@@ -745,10 +596,8 @@ void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
   // total_cycles sums the star matrix, mesh_gate_cycles the grid 8/64
   // flatness pair at 10% loss.
   uint64_t mesh_gate = 0;
-  if (const Cell* c = find_cell(mesh, net::TopologyKind::Grid, 8, 10))
-    mesh_gate += c->res.cycles;
-  if (const Cell* c = find_cell(mesh, net::TopologyKind::Grid, 64, 10))
-    mesh_gate += c->res.cycles;
+  for (size_t n : {8u, 64u})
+    if (const Cell* c = find_grid_cell(mesh, n)) mesh_gate += c->res.cycles;
   os << "  \"guest\": {\n";
   os << "    \"total_cycles\": " << total_cycles(cells) << ",\n";
   os << "    \"mesh_gate_cycles\": " << mesh_gate << ",\n";
@@ -756,6 +605,57 @@ void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
      << sim::Table::num(flatness_ratio(mesh), 3) << "\n";
   os << "  }\n";
   os << "}\n";
+}
+
+int run_matrix(bool smoke, const std::string& json_path, unsigned jobs) {
+  const auto blob = fig7_image_blob();
+  const auto cells =
+      run_cells(blob,
+                smoke ? star_matrix({2, 4}, {0, 10})
+                      : star_matrix({2, 4, 8, 16}, {0, 10, 25}),
+                jobs);
+  const auto mesh = run_cells(blob, mesh_matrix(smoke), jobs);
+
+  std::cout << "Over-the-air dissemination of the naturalized fig7 image ("
+            << blob.size() << " bytes, " << cells[0].res.total_chunks
+            << " chunks)\n\n";
+  sim::Table t({"Topo", "Nodes", "Drop%", "Time(s)", "Mcyc/node", "AirBytes",
+                "RxBytes/node", "Nacks", "Retx", "Served", "Coll"},
+               13);
+  for (const auto* part : {&cells, &mesh}) {
+    for (const Cell& c : *part) {
+      t.row({c.topo(), sim::Table::num(uint64_t(c.cfg.nodes)),
+             sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
+             sim::Table::num(radio_seconds(c.res.cycles), 2),
+             sim::Table::num(double(c.cycles_per_node()) / 1e6, 2),
+             sim::Table::num(c.res.medium.bytes_on_air),
+             sim::Table::num(sum_nodes(c.res, &Stats::bytes_rx) / c.cfg.nodes),
+             sim::Table::num(sum_nodes(c.res, &Stats::nacks_sent)),
+             sim::Table::num(c.res.base.retransmissions),
+             sim::Table::num(sum_nodes(c.res, &Stats::chunks_served)),
+             sim::Table::num(c.res.medium.collisions)});
+    }
+  }
+  t.print();
+  std::cout
+      << "\nExpected shape: loss multiplies repair traffic (Nacks and\n"
+         "retransmissions) and stretches completion time; node count\n"
+         "raises total received bytes linearly (broadcast medium) while\n"
+         "per-node cost stays near-flat until Nack collisions at the base\n"
+         "add serialization delay. On mesh topologies peers answer repair\n"
+         "Nacks with chunks they already hold (Served), so cycles per node\n"
+         "stays near-flat as the grid grows: "
+      << sim::Table::num(flatness_ratio(mesh), 2)
+      << "x from 8 to 64 nodes at 10% loss.\n";
+
+  std::ofstream js(json_path);
+  if (!js) {
+    std::cerr << "fig_dissemination: cannot write " << json_path << "\n";
+    return 1;
+  }
+  emit_json(js, smoke, blob.size(), cells, mesh);
+  std::cout << "wrote " << json_path << "\n";
+  return 0;
 }
 
 uint64_t committed_u64(const std::string& path, const std::string& name) {
@@ -797,10 +697,13 @@ int run_gate(const std::string& path, unsigned jobs) {
     return 2;
   }
   const auto blob = fig7_image_blob();
-  const auto cells = run_matrix(blob, {2, 4, 8, 16}, {0, 10, 25}, jobs);
-  const std::vector<CellSpec> pair = {{net::TopologyKind::Grid, 8, 10},
-                                      {net::TopologyKind::Grid, 64, 10}};
-  const auto mesh = run_cells(blob, pair, jobs);
+  const auto cells =
+      run_cells(blob, star_matrix({2, 4, 8, 16}, {0, 10, 25}), jobs);
+  const auto mesh =
+      run_cells(blob,
+                {cell_config(net::TopologyKind::Grid, 8, 10),
+                 cell_config(net::TopologyKind::Grid, 64, 10)},
+                jobs);
   bool ok = check_drift("star", total_cycles(cells), committed);
   ok &= check_drift("mesh", total_cycles(mesh), committed_mesh);
   const double flat = flatness_ratio(mesh);
@@ -820,94 +723,56 @@ int run_gate(const std::string& path, unsigned jobs) {
   return 0;
 }
 
+int usage() {
+  std::cerr << "usage: fig_dissemination [--smoke] [--recovery | "
+               "--adversarial | --rollout] [--jobs N] [--json PATH] "
+               "[--gate [BENCH.json]]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string mode;  // "", "--recovery", "--adversarial" or "--rollout"
   bool smoke = false;
-  bool recovery = false;
-  bool adversarial = false;
-  bool rollout = false;
   bool gate = false;
   unsigned jobs = 1;
-  std::string json_path = "BENCH_dissemination.json";
-  std::string gate_path = "BENCH_dissemination.json";
+  std::string json_path;
+  std::string gate_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--recovery" || arg == "--adversarial" || arg == "--rollout") {
+      if (!mode.empty()) return usage();  // the modes are exclusive
+      mode = arg;
+    } else if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--recovery") == 0) {
-      recovery = true;
-    } else if (std::strcmp(argv[i], "--adversarial") == 0) {
-      adversarial = true;
-    } else if (std::strcmp(argv[i], "--rollout") == 0) {
-      rollout = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--gate") == 0) {
+    } else if (arg == "--gate") {
       // The path operand is optional (defaults to the committed JSON), so
       // `--rollout --gate` works without one: only consume the next arg if
       // it exists and is not itself a flag.
       gate = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') gate_path = argv[++i];
     } else {
-      std::cerr << "usage: fig_dissemination [--smoke] [--recovery] "
-                   "[--adversarial] [--rollout] [--jobs N] [--json PATH] "
-                   "[--gate [BENCH.json]]\n";
-      return 2;
+      return usage();
     }
   }
-  if (rollout) return run_rollout_matrix(jobs);  // gates are intrinsic
-  if (gate) return run_gate(gate_path, jobs);
-  if (recovery) return run_recovery(fig7_image_blob(), jobs);
-  if (adversarial) return run_adversarial(fig7_image_blob(), jobs);
-
-  const auto blob = fig7_image_blob();
-  const std::vector<size_t> node_counts =
-      smoke ? std::vector<size_t>{2, 4} : std::vector<size_t>{2, 4, 8, 16};
-  const std::vector<uint32_t> drops =
-      smoke ? std::vector<uint32_t>{0, 10} : std::vector<uint32_t>{0, 10, 25};
-  const auto cells = run_matrix(blob, node_counts, drops, jobs);
-  const auto mesh = run_cells(blob, mesh_specs(smoke), jobs);
-
-  std::cout << "Over-the-air dissemination of the naturalized fig7 image ("
-            << blob.size() << " bytes, " << cells[0].res.total_chunks
-            << " chunks)\n\n";
-  sim::Table t({"Topo", "Nodes", "Drop%", "Time(s)", "Mcyc/node", "AirBytes",
-                "RxBytes/node", "Nacks", "Retx", "Served", "Coll"},
-               13);
-  auto emit_row = [&](const Cell& c) {
-    t.row({c.topo, sim::Table::num(uint64_t(c.nodes)),
-           sim::Table::num(uint64_t(c.drop_pct)),
-           sim::Table::num(c.radio_seconds(), 2),
-           sim::Table::num(double(c.cycles_per_node()) / 1e6, 2),
-           sim::Table::num(c.res.medium.bytes_on_air),
-           sim::Table::num(uint64_t(c.rx_bytes_total() / c.nodes)),
-           sim::Table::num(c.nacks_total()),
-           sim::Table::num(c.res.base.retransmissions),
-           sim::Table::num(c.chunks_served()),
-           sim::Table::num(c.res.medium.collisions)});
-  };
-  for (const Cell& c : cells) emit_row(c);
-  for (const Cell& c : mesh) emit_row(c);
-  t.print();
-  std::cout
-      << "\nExpected shape: loss multiplies repair traffic (Nacks and\n"
-         "retransmissions) and stretches completion time; node count\n"
-         "raises total received bytes linearly (broadcast medium) while\n"
-         "per-node cost stays near-flat until Nack collisions at the base\n"
-         "add serialization delay. On mesh topologies peers answer repair\n"
-         "Nacks with chunks they already hold (Served), so cycles per node\n"
-         "stays near-flat as the grid grows: "
-      << sim::Table::num(flatness_ratio(mesh), 2)
-      << "x from 8 to 64 nodes at 10% loss.\n";
-
-  std::ofstream js(json_path);
-  if (!js) {
-    std::cerr << "fig_dissemination: cannot write " << json_path << "\n";
-    return 1;
+  // --smoke and --json shape the default matrix only; --gate replaces it.
+  const bool matrix_flags = smoke || !json_path.empty();
+  if (mode.empty()) {
+    if (gate && matrix_flags) return usage();
+    if (gate) return run_gate(gate_path.empty() ? kBenchJson : gate_path, jobs);
+    return run_matrix(smoke, json_path.empty() ? kBenchJson : json_path, jobs);
   }
-  emit_json(js, smoke, blob.size(), cells, mesh);
-  std::cout << "wrote " << json_path << "\n";
-  return 0;
+  // The other matrices honour only --jobs; --rollout's gates are intrinsic,
+  // so it also accepts a bare --gate.
+  if (matrix_flags || !gate_path.empty() || (gate && mode != "--rollout"))
+    return usage();
+  if (mode == "--rollout") return run_rollout_matrix(jobs);
+  const auto blob = fig7_image_blob();
+  return mode == "--recovery" ? run_recovery(blob, jobs)
+                              : run_adversarial(blob, jobs);
 }

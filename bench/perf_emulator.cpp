@@ -88,30 +88,13 @@ struct Measurement {
   }
 };
 
-std::vector<assembler::Image> fig7_workload(uint16_t nodes, int n_search,
-                                            uint16_t searches) {
-  // Mirrors bench/fig7_treesearch.cpp: one data-feeding task plus N
-  // recursive binary-tree search tasks. `searches` is scaled far above the
-  // figure's 32 so the timed section is long enough for stable wall-clock
-  // measurement; the per-instruction mix is identical.
-  std::vector<assembler::Image> images;
-  images.push_back(apps::data_feed_program(6, 64));
-  for (int i = 0; i < n_search; ++i) {
-    apps::TreeSearchParams p;
-    p.nodes_per_tree = nodes;
-    p.trees = 1;
-    p.searches = searches;
-    p.seed = static_cast<uint16_t>(0x3131 + 0x1D0B * i);
-    images.push_back(apps::tree_search_program(p));
-  }
-  return images;
-}
-
 // SenSmart system run, timed around Kernel::run() only.
 Measurement measure_fig7(uint16_t nodes, int n_search, uint16_t searches,
                          int reps) {
   rw::Linker linker;
-  for (const auto& img : fig7_workload(nodes, n_search, searches))
+  // `searches` is scaled far above the figure's 32 so the timed section is
+  // long enough for stable wall-clock measurement.
+  for (const auto& img : apps::fig7_mix(nodes, n_search, searches))
     linker.add(img);
   const rw::LinkedSystem sys = linker.link();
 
@@ -342,6 +325,11 @@ int main(int argc, char** argv) {
   int reps = 5;
   std::string json_path = "BENCH_emulator.json";
   std::string gate_path;
+  auto usage = [] {
+    std::cerr << "usage: perf_emulator [--smoke] [--reps N] [--json PATH] "
+                 "[--gate BENCH.json]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -352,11 +340,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc) {
       gate_path = argv[++i];
     } else {
-      std::cerr << "usage: perf_emulator [--smoke] [--reps N] [--json PATH] "
-                   "[--gate BENCH.json]\n";
-      return 2;
+      return usage();
     }
   }
+  // Every timed figure is a best of reps: without one the JSON is all zeros.
+  if (reps <= 0) return usage();
   if (!gate_path.empty()) return run_gate(gate_path);
   if (smoke) reps = std::min(reps, 2);
   const uint16_t fig7_nodes = 24;

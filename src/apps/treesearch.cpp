@@ -284,4 +284,19 @@ Image data_feed_program(uint16_t rounds, uint16_t period_ticks) {
   return a.finish();
 }
 
+std::vector<Image> fig7_mix(uint16_t nodes_per_tree, int search_tasks,
+                            uint16_t searches) {
+  std::vector<Image> images;
+  images.push_back(data_feed_program(6, 64));
+  for (int i = 0; i < search_tasks; ++i) {
+    TreeSearchParams p;
+    p.nodes_per_tree = nodes_per_tree;
+    p.trees = 1;
+    p.searches = searches;
+    p.seed = static_cast<uint16_t>(0x3131 + 0x1D0B * i);
+    images.push_back(tree_search_program(p));
+  }
+  return images;
+}
+
 }  // namespace sensmart::apps

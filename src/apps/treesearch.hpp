@@ -11,6 +11,8 @@
 // stacks, and stack demand exceeding the average allocation.
 #pragma once
 
+#include <vector>
+
 #include "assembler/assembler.hpp"
 
 namespace sensmart::apps {
@@ -34,5 +36,12 @@ assembler::Image tree_search_program(const TreeSearchParams& p);
 // stack, periodic blocking sleeps.
 assembler::Image data_feed_program(uint16_t rounds = 64,
                                    uint16_t period_ticks = 96);
+
+// The Fig. 7 mix: one data feed (6 rounds, period 64) plus `search_tasks`
+// single-tree search tasks of `nodes_per_tree` nodes and `searches`
+// lookups each, task i seeded 0x3131 + 0x1D0B * i.
+std::vector<assembler::Image> fig7_mix(uint16_t nodes_per_tree,
+                                       int search_tasks,
+                                       uint16_t searches = 32);
 
 }  // namespace sensmart::apps

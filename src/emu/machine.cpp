@@ -75,8 +75,10 @@ void Machine::materialize_image() {
 
 void Machine::adopt_image(std::shared_ptr<const SharedImage> img) {
   shared_ = std::move(img);
-  flash_ = {};
-  dcache_ = {};
+  // Move-assign empty vectors: `= {}` would only clear and keep the
+  // capacity, i.e. the ~1.2 MB of private image bytes.
+  flash_ = std::vector<uint16_t>();
+  dcache_ = std::vector<DecodedInsn>();
   flash_ro_ = shared_->flash.data();
   dcache_ro_ = shared_->dcache.data();
   flash_used_ = shared_->used;

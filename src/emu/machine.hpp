@@ -86,7 +86,8 @@ class Machine {
   void adopt_image(std::shared_ptr<const SharedImage> img);
   bool image_shared() const { return shared_ != nullptr; }
   // Heap bytes this machine privately holds for flash + decode cache
-  // (zero while unloaded or adopted — the dedup win fig_fleet reports).
+  // (zero while unloaded or adopted; the SharedImage tests in
+  // tests/emu_cpu_test.cpp pin this).
   size_t private_image_bytes() const {
     return flash_.capacity() * sizeof(uint16_t) +
            dcache_.capacity() * sizeof(DecodedInsn);

@@ -1,8 +1,10 @@
 // CPU core semantics: ALU flags against the AVR manual's definitions,
 // addressing modes, stack/control-flow behaviour, skips across 32-bit
-// instructions, interrupts, and cycle accounting.
+// instructions, interrupts, and cycle accounting; and the fleet image
+// dedup path (SharedImage adoption, copy-on-write detach).
 #include <gtest/gtest.h>
 
+#include "apps/treesearch.hpp"
 #include "emu/machine.hpp"
 #include "isa/codec.hpp"
 
@@ -354,6 +356,95 @@ TEST_F(Cpu, TimedSleepFastForwards) {
 TEST_F(Cpu, SleepWithNoWakeSourceDeadlocks) {
   load({mk(Op::Sleep)});
   EXPECT_EQ(m.run(1000), StopReason::Deadlock);
+}
+
+// --- Fleet image dedup -------------------------------------------------------
+// A fleet shares one pre-decoded SharedImage instead of a private flash
+// array and decode cache per machine; a machine that loads flash detaches
+// with a private copy.
+
+assembler::Image search_program(uint16_t nodes, uint16_t seed) {
+  apps::TreeSearchParams p;
+  p.nodes_per_tree = nodes;
+  p.trees = 1;
+  p.searches = 8;
+  p.seed = seed;
+  return apps::tree_search_program(p);
+}
+
+struct NativeRun {
+  uint64_t cycles = 0;
+  std::vector<uint8_t> out;
+};
+
+NativeRun run_to_halt(Machine& m, uint32_t entry) {
+  m.reset(entry);
+  EXPECT_EQ(m.run(100'000'000), StopReason::Halted);
+  return {m.cycles(), m.dev().host_out()};
+}
+
+NativeRun private_run(const assembler::Image& img) {
+  Machine m;
+  m.load_flash(img.code);
+  return run_to_halt(m, img.entry);
+}
+
+TEST(SharedImage, AdoptersHoldNoPrivateImageBytes) {
+  const auto img = search_program(8, 0x3131);
+  const auto shared = Machine::build_shared_image(img.code);
+  Machine fresh, owner;
+  owner.load_flash(img.code);
+  EXPECT_FALSE(owner.image_shared());
+  EXPECT_GE(owner.private_image_bytes(), shared->bytes());
+  // Adopting releases whatever private image the machine held.
+  for (Machine* m : {&fresh, &owner}) {
+    m->adopt_image(shared);
+    EXPECT_TRUE(m->image_shared());
+    EXPECT_EQ(m->private_image_bytes(), 0u);
+  }
+}
+
+TEST(SharedImage, AdoptersRunLikeAPrivateLoad) {
+  const auto img = search_program(8, 0x3131);
+  const NativeRun want = private_run(img);
+  ASSERT_FALSE(want.out.empty());
+  const auto shared = Machine::build_shared_image(img.code);
+  Machine a, b;
+  a.adopt_image(shared);
+  b.adopt_image(shared);
+  for (Machine* m : {&a, &b}) {
+    const NativeRun got = run_to_halt(*m, img.entry);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.out, want.out);
+    EXPECT_TRUE(m->image_shared());  // fetching never detaches
+    EXPECT_EQ(m->private_image_bytes(), 0u);
+  }
+}
+
+TEST(SharedImage, LoadFlashDetachesOnlyThatMachine) {
+  const auto img = search_program(8, 0x3131);
+  const auto other = search_program(6, 0x0101);
+  const NativeRun want = private_run(img);
+  const NativeRun want_other = private_run(other);
+  ASSERT_NE(want.cycles, want_other.cycles);
+  const auto shared = Machine::build_shared_image(img.code);
+  const std::vector<uint16_t> flash_before = shared->flash;
+  Machine a, b;
+  a.adopt_image(shared);
+  b.adopt_image(shared);
+  a.load_flash(other.code);
+  EXPECT_FALSE(a.image_shared());
+  EXPECT_GT(a.private_image_bytes(), 0u);
+  EXPECT_TRUE(b.image_shared());
+  EXPECT_EQ(shared->flash, flash_before);
+
+  const NativeRun got_a = run_to_halt(a, other.entry);
+  EXPECT_EQ(got_a.cycles, want_other.cycles);
+  EXPECT_EQ(got_a.out, want_other.out);
+  const NativeRun got_b = run_to_halt(b, img.entry);
+  EXPECT_EQ(got_b.cycles, want.cycles);
+  EXPECT_EQ(got_b.out, want.out);
+  EXPECT_TRUE(b.image_shared());
 }
 
 }  // namespace

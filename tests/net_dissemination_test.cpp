@@ -23,20 +23,6 @@ namespace {
 
 using assembler::Image;
 
-std::vector<Image> fig7_workload(uint16_t tree_nodes, int n_search) {
-  std::vector<Image> images;
-  images.push_back(apps::data_feed_program(6, 64));
-  for (int i = 0; i < n_search; ++i) {
-    apps::TreeSearchParams p;
-    p.nodes_per_tree = tree_nodes;
-    p.trees = 1;
-    p.searches = 32;
-    p.seed = static_cast<uint16_t>(0x3131 + 0x1D0B * i);
-    images.push_back(apps::tree_search_program(p));
-  }
-  return images;
-}
-
 std::vector<uint8_t> linked_blob(const std::vector<Image>& images) {
   rw::Linker linker(rw::RewriteOptions{}, true);
   for (const auto& img : images) linker.add(img);
@@ -121,7 +107,7 @@ TEST(NetFrame, SummaryAndNackPayloads) {
 // --- Image codec ------------------------------------------------------------
 
 TEST(NetImageCodec, RoundTripIsByteIdentical) {
-  const auto blob = linked_blob(fig7_workload(8, 2));
+  const auto blob = linked_blob(apps::fig7_mix(8, 2));
   const auto sys = net::deserialize_system(blob);
   ASSERT_TRUE(sys.has_value());
   EXPECT_EQ(net::serialize_system(*sys), blob);
@@ -130,7 +116,7 @@ TEST(NetImageCodec, RoundTripIsByteIdentical) {
 }
 
 TEST(NetImageCodec, TruncationNeverParses) {
-  const auto blob = linked_blob(fig7_workload(8, 1));
+  const auto blob = linked_blob(apps::fig7_mix(8, 1));
   for (size_t len = 0; len < blob.size(); len += 97) {
     std::vector<uint8_t> cut(blob.begin(), blob.begin() + len);
     EXPECT_FALSE(net::deserialize_system(cut).has_value()) << "len=" << len;
@@ -144,7 +130,7 @@ TEST(NetImageCodec, TruncationNeverParses) {
 // --- Acceptance: 4-node dissemination at 10% loss ---------------------------
 
 TEST(NetDissemination, FourNodesAtTenPercentLossInstallByteIdentical) {
-  const auto blob = linked_blob(fig7_workload(8, 2));
+  const auto blob = linked_blob(apps::fig7_mix(8, 2));
 
   net::NetConfig cfg;
   cfg.nodes = 4;
@@ -178,7 +164,7 @@ TEST(NetDissemination, EndToEndNodesRunInstalledImageIdentically) {
   spec.net.max_cycles = 1'000'000'000ULL;
   spec.run_cycles = 2'000'000'000ULL;
 
-  const auto nr = sim::run_network(fig7_workload(8, 2), spec);
+  const auto nr = sim::run_network(apps::fig7_mix(8, 2), spec);
   ASSERT_TRUE(nr.dissemination.all_acked);
   ASSERT_TRUE(nr.all_installed());
   ASSERT_EQ(nr.nodes.size(), 4u);
@@ -209,8 +195,8 @@ TEST(NetDissemination, EndToEndNodesRunInstalledImageIdentically) {
 
 // --- Determinism: replay, golden digests, serial vs parallel ----------------
 
-net::DisseminationResult disseminate_seed(const std::vector<uint8_t>& blob,
-                                          uint64_t seed) {
+// Three nodes on a link that drops, duplicates, reorders and corrupts.
+net::NetConfig lossy_config(uint64_t seed) {
   net::NetConfig cfg;
   cfg.nodes = 3;
   cfg.link.drop_pct = 12;
@@ -219,12 +205,17 @@ net::DisseminationResult disseminate_seed(const std::vector<uint8_t>& blob,
   cfg.link.corrupt_pct = 4;
   cfg.chaos_seed = seed;
   cfg.max_cycles = 2'000'000'000ULL;
-  net::NetSim sim(cfg, blob);
+  return cfg;
+}
+
+net::DisseminationResult disseminate_seed(const std::vector<uint8_t>& blob,
+                                          uint64_t seed) {
+  net::NetSim sim(lossy_config(seed), blob);
   return sim.disseminate();
 }
 
 TEST(NetDeterminism, SameSeedReplaysByteIdentically) {
-  const auto blob = linked_blob(fig7_workload(8, 1));
+  const auto blob = linked_blob(apps::fig7_mix(8, 1));
   const auto a = disseminate_seed(blob, 42);
   const auto b = disseminate_seed(blob, 42);
   EXPECT_EQ(a.trace_digest, b.trace_digest);
@@ -242,7 +233,7 @@ TEST(NetDeterminism, SameSeedReplaysByteIdentically) {
 }
 
 TEST(NetDeterminism, SerialAndParallelSweepsAgree) {
-  const auto blob = linked_blob(fig7_workload(8, 1));
+  const auto blob = linked_blob(apps::fig7_mix(8, 1));
   constexpr size_t kSeeds = 8;
   auto digests = [&](unsigned jobs) {
     return host::sweep_collect<uint64_t>(
@@ -260,18 +251,54 @@ TEST(NetDeterminism, SerialAndParallelSweepsAgree) {
 // Golden digests: pinned observed values. A change here means the
 // dissemination schedule changed — intentional protocol changes must update
 // these constants (and the committed EXPERIMENTS.md baseline) explicitly.
+// The fleet rows disseminate the two-search-task fig7 image at seed
+// 0xF1EE7 with a base that never gives up: the engine's star and mesh
+// scaling cells.
+net::NetConfig fleet_config(net::TopologyKind kind, size_t nodes,
+                            uint32_t drop_pct) {
+  net::NetConfig cfg;
+  cfg.nodes = nodes;
+  cfg.link.drop_pct = drop_pct;
+  cfg.topo.kind = kind;
+  cfg.chaos_seed = 0xF1EE7;
+  cfg.proto.node_give_up_probes = 0;
+  cfg.max_cycles = 64'000'000'000ULL;
+  return cfg;
+}
+
 TEST(NetDeterminism, GoldenTraceDigests) {
-  const auto blob = linked_blob(fig7_workload(8, 1));
-  const uint64_t expected[3] = {
-      0x7697f85e0c51bdedULL,  // seed 1
-      0x763c4fa6f5fb1d97ULL,  // seed 2
-      0xdfee889478227a01ULL,  // seed 3
+  using net::TopologyKind;
+  struct Golden {
+    const char* name;
+    net::NetConfig cfg;
+    int search_tasks;
+    uint64_t cycles;
+    uint64_t digest;
   };
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto r = disseminate_seed(blob, seed);
-    ASSERT_TRUE(r.all_acked) << "seed " << seed;
-    EXPECT_EQ(r.trace_digest, expected[seed - 1])
-        << "seed " << seed << " digest 0x" << std::hex << r.trace_digest;
+  const Golden rows[] = {
+      {"seed 1", lossy_config(1), 1, 22677504, 0x7697f85e0c51bdedULL},
+      {"seed 2", lossy_config(2), 1, 19734528, 0x763c4fa6f5fb1d97ULL},
+      {"seed 3", lossy_config(3), 1, 24001536, 0xdfee889478227a01ULL},
+      {"star 4 @ 0%", fleet_config(TopologyKind::Star, 4, 0), 2, 16121856,
+       0x5456e7417a411783ULL},
+      {"star 4 @ 10%", fleet_config(TopologyKind::Star, 4, 10), 2, 23851008,
+       0x6e029002107b5b50ULL},
+      {"star 16 @ 0%", fleet_config(TopologyKind::Star, 16, 0), 2, 16416768,
+       0xee24080370dc4f47ULL},
+      {"star 16 @ 10%", fleet_config(TopologyKind::Star, 16, 10), 2,
+       127905792, 0xaa8e199a85e5e128ULL},
+      {"grid 16 @ 10%", fleet_config(TopologyKind::Grid, 16, 10), 2,
+       263193600, 0x2c5f7e1d00955083ULL},
+  };
+  const std::vector<uint8_t> blobs[] = {linked_blob(apps::fig7_mix(8, 1)),
+                                        linked_blob(apps::fig7_mix(8, 2))};
+  for (const Golden& g : rows) {
+    net::NetSim sim(g.cfg, blobs[g.search_tasks - 1]);
+    const auto r = sim.disseminate();
+    ASSERT_TRUE(r.all_acked) << g.name;
+    EXPECT_EQ(r.cycles, g.cycles) << g.name;
+    EXPECT_EQ(r.trace_digest, g.digest)
+        << g.name << " digest 0x" << std::hex << r.trace_digest;
   }
 }
 
@@ -310,7 +337,7 @@ TEST(NetProperty, RandomProgramsDisseminateByteIdenticalOver32Seeds) {
 // --- Adversarial: verified install or clean abort, nothing in between ------
 
 TEST(NetAdversarial, TotalLossAbortsCleanlyWithoutInstall) {
-  const auto blob = linked_blob(fig7_workload(8, 1));
+  const auto blob = linked_blob(apps::fig7_mix(8, 1));
   net::NetConfig cfg;
   cfg.nodes = 2;
   cfg.max_cycles = 40'000'000ULL;  // bounded: this cannot converge
@@ -329,7 +356,7 @@ TEST(NetAdversarial, TotalLossAbortsCleanlyWithoutInstall) {
 }
 
 TEST(NetAdversarial, TotalCorruptionAbortsCleanlyWithoutInstall) {
-  const auto blob = linked_blob(fig7_workload(8, 1));
+  const auto blob = linked_blob(apps::fig7_mix(8, 1));
   net::NetConfig cfg;
   cfg.nodes = 2;
   cfg.max_cycles = 40'000'000ULL;
@@ -356,7 +383,7 @@ TEST(NetAdversarial, AbortedNodeNeverRunsAKernel) {
                          std::span<const uint8_t>) {
     return net::FaultAction::Drop;
   };
-  const auto nr = sim::run_network(fig7_workload(8, 1), spec);
+  const auto nr = sim::run_network(apps::fig7_mix(8, 1), spec);
   EXPECT_TRUE(nr.dissemination.aborted);
   EXPECT_FALSE(nr.all_installed());
   for (const auto& node : nr.nodes) {

@@ -18,14 +18,8 @@ namespace {
 using assembler::Image;
 
 std::vector<uint8_t> test_blob() {
-  apps::TreeSearchParams p;
-  p.nodes_per_tree = 8;
-  p.trees = 1;
-  p.searches = 32;
-  p.seed = 0x3131;
   rw::Linker linker(rw::RewriteOptions{}, true);
-  linker.add(apps::data_feed_program(6, 64));
-  linker.add(apps::tree_search_program(p));
+  for (const auto& img : apps::fig7_mix(8, 1)) linker.add(img);
   return net::serialize_system(linker.link());
 }
 
