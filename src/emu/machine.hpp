@@ -4,11 +4,13 @@
 // loaded image is a rewritten one and kernel services are reached through
 // the service hook).
 //
-// The hot path is the batched run() loop: straight-line instructions
+// The hot path is the batched dispatch loop: straight-line instructions
 // execute up to the next *event horizon* — the earliest of the cycle
 // budget and the armed IRQ probe time — with no per-instruction interrupt
 // or stop polling. Device I/O that can change interrupt state collapses
-// the horizon instead (see DESIGN.md §"Event-horizon execution").
+// the horizon instead (see DESIGN.md §"Event-horizon execution"). Each
+// decode-cache entry carries its handler index, so the loop is one
+// indirect jump per instruction, and one per run of NOP placeholders.
 #pragma once
 
 #include <cstdint>
@@ -45,26 +47,32 @@ class Machine {
  public:
   static constexpr uint32_t kFlashWords = 0x10000;  // 128 KB
 
+  // Longest run of consecutive NOP words one decode-cache entry retires
+  // in a single dispatch (DESIGN.md §6c "NOP runs").
+  static constexpr uint32_t kMaxNopRun = 32;
+
   // Decode-cache entry: the decoded instruction plus its execution
   // metadata, so the hot loop never re-derives size/base-cycles through
   // the out-of-line isa:: classification switches.
   struct DecodedInsn {
     isa::Instruction ins;
-    uint8_t size = 1;    // isa::size_words(ins.op)
-    uint8_t cycles = 1;  // isa::base_cycles(ins.op)
-    uint8_t valid = 0;   // in-entry flag: no second array touched per fetch
+    uint8_t size = 1;     // isa::size_words(ins.op)
+    uint8_t cycles = 1;   // isa::base_cycles(ins.op)
+    uint8_t handler = 0;  // dispatch index: 0 = not decoded yet, else op + 1
+    uint8_t nop_run = 0;  // NOP only: NOP words from here, 1..kMaxNopRun
   };
+  static_assert(sizeof(DecodedInsn) == 16, "one decode entry per 16 bytes");
 
   // One naturalized image shared by a fleet of machines: the full flash
-  // plus a completely pre-decoded cache (every entry valid), immutable
-  // after build_shared_image(). Because no entry is ever invalid, an
+  // plus a completely pre-decoded cache (every entry decoded), immutable
+  // after build_shared_image(). Because every entry is decoded, an
   // adopting machine's fetch path never writes into it — concurrent
   // execution of any number of machines over one SharedImage is read-only
   // and race-free. A machine that needs to mutate flash (load_flash)
   // detaches first with a private copy-on-write snapshot.
   struct SharedImage {
     std::vector<uint16_t> flash;      // kFlashWords; erased state 0xFFFF
-    std::vector<DecodedInsn> dcache;  // kFlashWords, all entries valid
+    std::vector<DecodedInsn> dcache;  // kFlashWords, all entries decoded
     uint32_t used = 0;                // words occupied by the image
     size_t bytes() const {
       return flash.size() * sizeof(uint16_t) +
@@ -202,20 +210,14 @@ class Machine {
   // Force a stop from inside a service hook (e.g. task fault in native run).
   void stop(StopReason r) { stop_ = r; }
 
-  // The decoded instruction at `word_addr` (decode-cache backed).
-  const isa::Instruction& decoded(uint32_t word_addr) {
-    return entry(word_addr).ins;
-  }
-
  private:
+  // The decoded entry at `word_addr` (< kFlashWords) of a materialized
+  // image. dcache_ro_ views either the private cache (lazily fillable) or
+  // a shared image (every entry pre-decoded, so the fill branch is dead
+  // and the shared data is never written).
   const DecodedInsn& entry(uint32_t word_addr) {
-    word_addr %= kFlashWords;
-    // dcache_ro_ views either the private cache (lazily fillable) or a
-    // shared image (every entry pre-decoded, so the fill branch is dead
-    // and the shared data is never written).
-    if (!dcache_ro_) materialize_image();
     const DecodedInsn& d = dcache_ro_[word_addr];
-    if (!d.valid) fill_entry(word_addr);
+    if (d.handler == 0) fill_entry(word_addr);
     return d;
   }
   void fill_entry(uint32_t word_addr);
@@ -226,23 +228,20 @@ class Machine {
   static void decode_entry(std::span<const uint16_t> flash,
                            uint32_t word_addr, DecodedInsn& d);
 
-  // Forced inline: the batched run() loop is the one hot call site, and
-  // keeping the dispatch in the caller's frame avoids a full
-  // prologue/epilogue per emulated instruction.
+  // The dispatch loop shared by run() and step(): executes from pc_ while
+  // the clock is short of horizon_ (the first instruction unconditionally;
+  // callers guarantee cycles_ < horizon_) and returns why it stopped —
+  // Running when the batch merely ended.
   //
   // The hot execution state (PC, cycle clock, retired-instruction count,
-  // SREG) is passed by reference to the caller's locals instead of living
-  // in members: every opaque call in an instruction body (I/O hook,
-  // service handler) would otherwise force the member copies to be
-  // reloaded and stored once per emulated instruction. The members are
-  // synchronized exactly where an observer can look: before any
-  // data-memory access (the I/O hook reads the clock, and the accessed
-  // address may alias SREG), around service dispatch, and at batch ends.
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((always_inline))
-#endif
-  inline StopReason execute_one(uint32_t& pc, uint64_t& cycles,
-                                uint64_t& insns, uint8_t& sreg);
+  // SREG) lives in locals of this frame instead of members: every opaque
+  // call in an instruction body (I/O hook, service handler) would
+  // otherwise force the member copies to be reloaded and stored once per
+  // emulated instruction. The members are synchronized exactly where an
+  // observer can look: before any data-memory access (the I/O hook reads
+  // the clock, and the accessed address may alias SREG), around service
+  // dispatch and SLEEP, and when the batch ends.
+  StopReason execute_batch();
   void dispatch_irq(Irq irq);
   bool maybe_take_irq();
   StopReason do_sleep();
@@ -250,14 +249,12 @@ class Machine {
     return (mem_.sreg() & (1u << isa::kFlagI)) != 0;
   }
 
-  // Execute helpers (member functions; the old execute_one built these as
-  // per-call lambda closures). `sreg_local` is the in-flight flag copy a
-  // store to the SREG data address must refresh.
+  // Execute helpers. `sreg_local` is the in-flight flag copy a store to
+  // the SREG data address must refresh.
   uint16_t pointer_addr(isa::Ptr p) const;
   void set_pointer(isa::Ptr p, uint16_t v);
   void mem_indirect(uint8_t& sreg_local, const isa::Instruction& ins,
                     bool store, isa::Ptr p, int pre, int post, uint8_t disp);
-  void skip_next(uint32_t& next_pc, int& cyc);
 
   static bool hook_thunk(void* self, Machine& m, uint32_t svc_arg);
 
@@ -278,9 +275,10 @@ class Machine {
   uint32_t pc_ = 0;
   uint64_t cycles_ = 0;
   uint64_t next_irq_probe_ = 0;
-  // End of the current straight-line batch in run(): min(cycle budget,
-  // next_irq_probe_ when interrupts are enabled). Collapsed to 0 by the
-  // I/O hook when device/interrupt state may have changed.
+  // End of the current straight-line batch: in run(), min(cycle budget,
+  // next_irq_probe_ when interrupts are enabled); in step(), one cycle
+  // ahead. Collapsed to 0 by the I/O hook when device/interrupt state may
+  // have changed.
   uint64_t horizon_ = 0;
   RunStats stats_;
   StopReason stop_ = StopReason::Running;

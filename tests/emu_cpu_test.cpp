@@ -358,6 +358,17 @@ TEST_F(Cpu, SleepWithNoWakeSourceDeadlocks) {
   EXPECT_EQ(m.run(1000), StopReason::Deadlock);
 }
 
+// The PC after SLEEP wraps at the end of flash like every other
+// instruction's.
+TEST_F(Cpu, SleepAtLastFlashWordWrapsPc) {
+  std::vector<uint16_t> words;
+  isa::encode_to(mk(Op::Sleep), words);
+  m.load_flash(words, Machine::kFlashWords - 1);
+  m.reset(Machine::kFlashWords - 1);
+  EXPECT_EQ(m.step(), StopReason::Deadlock);
+  EXPECT_EQ(m.pc(), 0u);
+}
+
 // --- Fleet image dedup -------------------------------------------------------
 // A fleet shares one pre-decoded SharedImage instead of a private flash
 // array and decode cache per machine; a machine that loads flash detaches
