@@ -23,8 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "emu/machine.hpp"
@@ -42,8 +40,6 @@ struct ProtocolParams {
   // Nack without progress, capped at timeout << backoff_cap_exp.
   uint64_t nack_timeout = 8 * 40 * emu::DeviceHub::kCyclesPerRadioByte;
   uint32_t backoff_cap_exp = 5;
-  // Receiver: minimum spacing between repeated Acks (base probe answers).
-  uint64_t ack_repeat_min = 4 * 40 * emu::DeviceHub::kCyclesPerRadioByte;
   // Base: idle re-probe (Summary) interval; doubles per unanswered probe,
   // same cap as the receiver backoff.
   uint64_t probe_interval = 16 * 40 * emu::DeviceHub::kCyclesPerRadioByte;
@@ -59,15 +55,6 @@ struct ProtocolParams {
   // unless abandon classification is the point of the run.
   uint32_t node_give_up_probes = 12;
 
-  // --- Mesh parameters (NetConfig::topo; all ignored in star mode) ------
-  // Minimum spacing between one node's Summary re-floods (relays).
-  uint64_t summary_relay_min = 8 * 40 * emu::DeviceHub::kCyclesPerRadioByte;
-  // Spacing between consecutive peer-served Data chunks from one node.
-  uint64_t serve_gap = 2 * emu::DeviceHub::kCyclesPerRadioByte;
-  // Consecutive unanswered Nacks at one parent before rotating to the
-  // next-best known upstream neighbor (parent churn).
-  uint32_t parent_churn_nacks = 3;
-
   // --- Authentication + adversarial hardening (DESIGN.md §11) -----------
   // MAC-authenticated dissemination: the Summary carries a SipHash-2-4 tag
   // over the image blob under the pre-shared key, verified before install
@@ -78,19 +65,6 @@ struct ProtocolParams {
   // byte-identical to the pre-auth protocol.
   bool auth = false;
   AuthKey auth_key = kDefaultAuthKey;
-  // Ceiling on the image size a Summary may command a node to allocate for
-  // reassembly; an announcement above it is ignored — one forged frame
-  // must never be able to exhaust a node's memory.
-  uint32_t max_image_bytes = 32u << 20;
-  // Base: per-node budget of liveness-granting frames (Nacks, Summary
-  // relays) honored before the base stops believing them — a hostile
-  // flood impersonating a live node would otherwise reset the per-node
-  // probe counters forever, so no straggler could ever be abandoned and
-  // the run would livelock. Authenticated Acks are always honored (they
-  // are unforgeable). 0 = unlimited; when a hostile node is configured
-  // NetSim derives a generous bound (64 + 8 * total_chunks) that honest
-  // traffic stays far below.
-  uint32_t node_liveness_quota = 0;
 };
 
 // A scheduled receiver crash: fires the first time the node holds at least
@@ -136,12 +110,7 @@ struct RolloutParams {
   uint32_t wave_size = 4;        // nodes upgraded per wave
   uint64_t probation_bytes = 3000;  // trial probation window (byte-times)
   uint32_t failure_budget = 1;   // trial failures tolerated fleet-wide
-  // Base: spacing between command retries to one node; doubles per
-  // unanswered send, capped at ProtocolParams::backoff_cap_exp.
-  uint64_t control_interval = 16 * 40 * emu::DeviceHub::kCyclesPerRadioByte;
   uint32_t give_up_tries = 12;   // unanswered commands before giving up
-  uint64_t reboot_bytes = 64;    // activation reboot outage (byte-times)
-  uint32_t report_retries = 12;  // node: self-initiated health-report sends
 };
 
 // Scripted behavior of one node's trial image during probation (the chaos
@@ -170,8 +139,7 @@ struct NetConfig {
   ProtocolParams proto;
   uint64_t chaos_seed = 1;
   uint64_t max_cycles = 4'000'000'000ULL;
-  size_t trace_capacity = 1 << 16;  // stored events (digest covers all)
-  NodeFaultPolicy node_faults;      // receiver crash/reboot schedule
+  NodeFaultPolicy node_faults;  // receiver crash/reboot schedule
   unsigned shards = 1;  // ignored; the engine is serial (DESIGN.md §9)
   // Spatial topology (DESIGN.md §10). The default Star keeps the legacy
   // single-hop network and is byte-identical to the pre-mesh simulator;
@@ -493,8 +461,16 @@ class NetSim {
 
   void record(uint64_t cycle, uint8_t node, NetEventKind kind, uint32_t a,
               uint32_t b);
+  // Radio port access shared by every sender, the hostile one included.
+  bool radio_busy(size_t id);
+  void radio_tx(size_t id, std::span<const uint8_t> bytes);
   void send_frame(size_t node_id, const Frame& f);
-  void send_data_frame(uint16_t seq, uint64_t now);
+  // Chunk `seq` of `image` as a Data frame (in data_frame_).
+  const Frame& data_frame(uint8_t version, uint16_t seq,
+                          std::span<const uint8_t> image, size_t chunk_payload);
+  // Capped exponential backoff (the one retry rule of every timer).
+  uint32_t backoff_exp(uint32_t streak) const;
+  uint64_t backoff(uint64_t interval, uint32_t streak) const;
   void drain_rx(size_t node_id, Deframer& d);
   void plan_node_faults();
   void node_lifecycle(Node& n, uint64_t now);
@@ -523,7 +499,7 @@ class NetSim {
   // Mesh protocol (DESIGN.md §10); all no-ops / unreachable in star mode.
   void apply_tx_note(size_t from, uint64_t start, uint64_t done);
   void mesh_send(size_t id, const Frame& f, uint64_t now);
-  bool mesh_can_tx(size_t id, uint64_t now);
+  bool can_tx(size_t id, uint64_t now);
   bool mesh_node_tx(Node& n, uint64_t now);
   void mesh_note_summary(Node& n, uint16_t sender, uint16_t hop,
                          uint64_t now);
@@ -538,7 +514,7 @@ class NetSim {
   void finish_dissem(DisseminationResult& res, bool budget_exhausted);
 
   // Staged rollout (DESIGN.md §12); only reachable from rollout().
-  void begin_rollout(uint64_t now);
+  void begin_rollout();
   void enter_rollback_all(uint64_t now);
   void step_base_rollout(uint64_t now);
   void base_send_control(uint16_t target, ControlCmd cmd, uint64_t now);
@@ -557,8 +533,7 @@ class NetSim {
   // image MAC the base announces (computed once in the ctor).
   bool auth_ = false;
   uint64_t blob_mac_ = 0;
-  // Effective per-node liveness quota (0 = unlimited; see
-  // ProtocolParams::node_liveness_quota).
+  // Per-node liveness quota (0 = unlimited; see liveness_credit).
   uint32_t liveness_quota_ = 0;
   // Hostile node (NetConfig::hostile_node): model + raw transmit buffer.
   HostileModel* hostile_ = nullptr;
@@ -583,7 +558,7 @@ class NetSim {
   // transmissions — the max over heard neighbors' transmission ends (plus
   // a short guard) and its own. Receivers' claims land at the end of the
   // quantum (Outbox::tx_notes), so every receiver reads the claims as they
-  // stood when the quantum began.
+  // stood when the quantum began. A star never claims air: all stay 0.
   bool mesh_ = false;
   std::vector<uint64_t> air_busy_until_;
   size_t complete_count_ = 0;  // verified stores (transition-maintained)
