@@ -81,9 +81,9 @@ std::vector<uint16_t> words_of(const std::vector<Instruction>& prog) {
   return words;
 }
 
-// The CI guest-cycle gate's workload (perf_emulator --gate) pinned to its
-// exact counts. NOP-run retirement must leave the instruction count as
-// one-by-one execution has it, and the fused service path the trap count.
+// The full-scale Fig. 7 mix pinned to its exact counts: the one home of
+// the guest-cycle gate. NOP-run retirement must leave the instruction count
+// as one-by-one execution has it, and the fused service path the trap count.
 TEST(TraceIdentity, FullScaleFig7CountsPinned) {
   rw::Linker linker;
   for (const auto& img : apps::fig7_mix(24, 6, 8000)) linker.add(img);
