@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/treesearch.hpp"
@@ -226,6 +227,45 @@ uint64_t case_grid(unsigned shards) {
   return run_dissem(cfg, shards);
 }
 
+// The grid under MAC authentication with scripted and seeded crashes (cold
+// reboots included): mesh nodes go down, rejoin the Summary flood and
+// resume from peers while relayed Acks carry keyed tags.
+uint64_t case_grid_crash_auth(unsigned shards) {
+  net::NetConfig cfg = star(16, 0x6C4A);
+  cfg.link.drop_pct = 10;
+  cfg.topo.kind = net::TopologyKind::Grid;
+  cfg.proto.node_give_up_probes = 0;
+  cfg.proto.auth = true;
+  cfg.max_cycles = 8'000'000'000ULL;
+  cfg.node_faults.scripted.push_back({4, 0, 400, false});
+  cfg.node_faults.scripted.push_back({9, 30, 700, true});
+  cfg.node_faults.crash_pct = 40;
+  cfg.node_faults.wipe_pct = 50;
+  cfg.node_faults.down_min_bytes = 64;
+  cfg.node_faults.down_max_bytes = 900;
+  return run_dissem(cfg, shards);
+}
+
+// A line: every chunk, Nack, Ack and Summary relay crosses a long chain
+// of single-parent hops.
+uint64_t case_line(unsigned shards) {
+  net::NetConfig cfg = star(10, 0x11AE);
+  cfg.link.drop_pct = 10;
+  cfg.topo.kind = net::TopologyKind::Line;
+  cfg.proto.node_give_up_probes = 0;
+  cfg.max_cycles = 8'000'000'000ULL;
+  return run_dissem(cfg, shards);
+}
+
+net::RolloutResult run_rollout(const net::NetConfig& cfg,
+                               const std::vector<std::pair<uint16_t,
+                                   net::TrialBehavior>>& behaviors) {
+  net::NetSim sim(cfg, image());
+  sim.set_initial_image(old_image(), 0);
+  for (const auto& [node, b] : behaviors) sim.set_trial_behavior(node, b);
+  return sim.rollout();
+}
+
 uint64_t case_rollout(unsigned shards) {
   net::NetConfig cfg = star(6, 0x5EED);
   cfg.link.drop_pct = 5;
@@ -234,12 +274,33 @@ uint64_t case_rollout(unsigned shards) {
   cfg.rollout.wave_size = 2;
   cfg.rollout.failure_budget = 1;
   cfg.shards = shards;
-  net::NetSim sim(cfg, image());
-  sim.set_initial_image(old_image(), 0);
   net::TrialBehavior crash;
   crash.kind = net::TrialBehavior::Kind::CrashBoot;
-  sim.set_trial_behavior(4, crash);
-  return fingerprint(sim.rollout());
+  return fingerprint(run_rollout(cfg, {{4, crash}}));
+}
+
+// A mesh rollout: Controls flood outward and health reports relay back
+// over several hops. One trial crash-boots and one trips the supervision
+// gate; the budget absorbs both, so every wave still runs.
+uint64_t case_grid_rollout(unsigned shards) {
+  net::NetConfig cfg = star(16, 0x6A20);
+  cfg.link.drop_pct = 5;
+  cfg.topo.kind = net::TopologyKind::Grid;
+  cfg.proto.node_give_up_probes = 0;
+  cfg.proto.auth = true;
+  cfg.max_cycles = 16'000'000'000ULL;
+  cfg.rollout.enabled = true;
+  cfg.rollout.wave_size = 4;
+  cfg.rollout.failure_budget = 2;
+  cfg.shards = shards;
+  net::TrialBehavior crash;
+  crash.kind = net::TrialBehavior::Kind::CrashBoot;
+  crash.at_pct = 60;
+  net::TrialBehavior lemon;
+  lemon.kind = net::TrialBehavior::Kind::Runaway;
+  lemon.at_pct = 40;
+  lemon.quarantines = 1;
+  return fingerprint(run_rollout(cfg, {{7, crash}, {12, lemon}}));
 }
 
 struct Case {
@@ -275,6 +336,9 @@ const Case kCases[] = {
     {"hostile", case_hostile, 0x681850649e70e1a2ULL},
     {"grid16", case_grid, 0xb23bc7a162f4cc5cULL},
     {"rollout", case_rollout, 0x09fb509089310b51ULL},
+    {"grid16_crash_auth", case_grid_crash_auth, 0xe851f919002a62e2ULL},
+    {"line10", case_line, 0x1da19f6ccfb9f398ULL},
+    {"grid_rollout", case_grid_rollout, 0x9f4cbb1022516aeaULL},
 };
 
 class NetFingerprint : public ::testing::TestWithParam<Case> {};
