@@ -1396,33 +1396,65 @@ uint64_t NetSim::rx_ready_at(const Node& n) const {
   return at ? *at : kNever;
 }
 
-// A star receiver acts observably only when (a) a received byte lets its
-// deframer decide the head frame candidate, (b) its Nack timer fires while
-// it is unverified, (c) its radio completes a transmission, or (d) it
-// powers up or crosses its next crash threshold (checked at the start of
-// the step after the chunk that crossed it). In any other quantum its step
-// is a no-op, so it sleeps until the first quantum edge at or after the
-// earliest of those. Mesh, hostile and rollout-phase nodes have no such
-// analysis: they wake every quantum.
+// An honest receiver's step changes something only at the earliest of two
+// groups of times; in any other quantum it is a no-op, so the receiver
+// sleeps until the first quantum edge at or after that time.
+//
+// Times that act whatever the carrier does: a received byte lets the
+// deframer decide its head frame candidate; the radio completes a
+// transmission; the node powers up or has crossed its next crash threshold
+// (checked at the start of the step after the chunk that crossed it); a
+// trial's scripted behavior or probation end; the mesh re-ack timer (it
+// sets ack_pending ahead of carrier sense, and a later overheard relay of
+// the node's own Ack may push it out); and the star Nack and health timers
+// (a star sends without carrier sense).
+//
+// Mesh TX work that waits for a clear carrier: the earliest time some
+// pending work is due, the Nack and health timers included (a non-empty
+// relay or Control queue counts as due at once even if every entry in it
+// is stale, because popping it later can keep an entry the time-dependent
+// checks would have dropped), but no earlier than the carrier-sense claim
+// and the radio's own transmission end. Claims only grow, so a wake that finds the carrier still busy is
+// merely early: the step is a no-op and the deadline is taken again.
+//
+// The hostile node's model draws on every transmission opportunity, so it
+// wakes every quantum.
 uint64_t NetSim::next_wake(const Node& n, uint64_t now) const {
   const uint64_t next = now + kByte;
-  if (mesh_ || rollout_phase_ || n.id == cfg_.hostile_node) return next;
+  if (n.id == cfg_.hostile_node) return next;
   if (n.down) return std::max(next, quantum_at_or_after(n.up_at));
   const emu::DeviceHub& dev = machines_[n.id]->dev();
   const emu::ImageStore& st = dev.image_store();
   if (!n.crash_plan.empty() && st.chunks_have >= n.crash_plan.front().at_chunks)
     return next;
-  uint64_t at = rx_ready_at(n);
-  if (!st.verified) at = std::min(at, n.next_nack_at);
-  if (const auto done = dev.tx_done_at()) at = std::min(at, *done);
-  return std::max(next, quantum_at_or_after(at));
-}
+  const std::optional<uint64_t> tx_done = dev.tx_done_at();
+  uint64_t at = std::min(rx_ready_at(n), tx_done.value_or(kNever));
+  if (n.trial_running) {
+    at = std::min(at, n.probation_end);
+    if (!n.behavior_fired) at = std::min(at, n.behavior_at);
+  }
+  // The Nack timer (dissemination) or the health timer (rollout).
+  uint64_t timer = kNever;
+  if (rollout_phase_) {
+    if (n.health_pending) timer = n.next_health_at;
+  } else if (!st.verified) {
+    timer = n.next_nack_at;
+  }
+  if (!mesh_) return std::max(next, quantum_at_or_after(std::min(at, timer)));
 
-// Every receiver due in the next quantum (start of a run or of a phase
-// whose nodes the schedule above does not model).
-void NetSim::wake_all() {
-  std::fill(wake_at_.begin(), wake_at_.end(), 0);
-  next_wake_ = 0;
+  if (!rollout_phase_ && st.verified && !n.ack_pending)
+    at = std::min(at, n.next_ack_at);
+  uint64_t due = timer;
+  if ((n.ack_pending && st.verified) || !n.ack_relay.queue.empty() ||
+      (rollout_phase_ &&
+       (!n.ctl_relay_q.empty() || !n.health_relay.queue.empty())))
+    due = now;
+  if (!n.serve_q.empty()) due = std::min(due, n.next_serve_at);
+  if (n.summary_relay_pending) due = std::min(due, n.summary_relay_at);
+  if (due != kNever)
+    at = std::min(at, std::max({due, air_busy_until_[n.id],
+                                tx_done.value_or(0)}));
+  return std::max(next, quantum_at_or_after(at));
 }
 
 NodeAbortReason NetSim::abort_reason_of(const Node& n) const {
@@ -1471,6 +1503,7 @@ bool NetSim::run_loop() {
       for (size_t i = 0; i < wake_at_.size(); ++i) {
         if (wake_at_[i] <= t_) {
           Node& n = *nodes_[i];
+          ++receiver_steps_;
           machines_[n.id]->dev().sync(t_);
           node_lifecycle(n, t_);
           if (!n.down) step_node(n, t_);
@@ -1546,6 +1579,7 @@ void NetSim::finish_dissem(DisseminationResult& res, bool budget_exhausted) {
   res.abandoned_count = base_->abandoned_count;
   res.trace_digest = trace_digest_;
   res.trace_events = trace_count_;
+  res.receiver_steps = receiver_steps_;
 }
 
 // --- Staged rollout (DESIGN.md §12) -----------------------------------------
@@ -1579,9 +1613,12 @@ RolloutResult NetSim::rollout() {
   const bool dissem_ok = run_loop();
   finish_dissem(rr.dissem, !dissem_ok);
   if (dissem_ok) {
+    // The deadlines carry over: at the switch no trial runs and no health
+    // report or Control is queued, so the rollout rule has no term the
+    // dissemination deadline missed (it only loses the Nack and re-ack
+    // timers, which makes some wakes early).
     begin_rollout();
     rollout_phase_ = true;
-    wake_all();
     const bool rollout_ok = run_loop();
     rollout_phase_ = false;
     rr.budget_exhausted = !rollout_ok;
@@ -2030,6 +2067,7 @@ void NetSim::finish_rollout(RolloutResult& rr) {
   rr.cycles = t_;
   rr.trace_digest = trace_digest_;
   rr.trace_events = trace_count_;
+  rr.receiver_steps = receiver_steps_;
   if (ro_) {
     rr.waves = ro_->wave_index;
     rr.waves_promoted = ro_->waves_promoted;

@@ -314,6 +314,9 @@ struct DisseminationResult {
   MediumStats medium;
   uint64_t trace_digest = 0;  // FNV-1a over every trace event
   size_t trace_events = 0;
+  // Receiver steps the wake schedule ran (DESIGN.md §9), summed over
+  // quanta: engine work, not protocol outcome, so no fingerprint folds it.
+  uint64_t receiver_steps = 0;
 
   // Maintained as counters on the underlying state transitions (image
   // verified / verified store wiped / node abandoned or revived) instead
@@ -355,6 +358,7 @@ struct RolloutResult {
   uint64_t cycles = 0;           // total simulated time (transfer + rollout)
   uint64_t trace_digest = 0;     // FNV-1a over the whole run's events
   size_t trace_events = 0;
+  uint64_t receiver_steps = 0;   // as DisseminationResult, whole run
   std::vector<NodeRolloutStats> nodes;  // indexed by node id; [0] unused
 };
 
@@ -493,7 +497,6 @@ class NetSim {
   // decide something from received bytes.
   uint64_t next_wake(const Node& n, uint64_t now) const;
   uint64_t rx_ready_at(const Node& n) const;
-  void wake_all();
   void deliver_tx(size_t id, std::span<const uint8_t> pkt, uint64_t done);
 
   // Mesh protocol (DESIGN.md §10); all no-ops / unreachable in star mode.
@@ -566,10 +569,13 @@ class NetSim {
   // Engine state shared by disseminate()/rollout(): simulated time.
   uint64_t t_ = 0;
   // Wake schedule (DESIGN.md §9): wake_at_[i] is the first quantum at which
-  // receiver index i must be stepped, next_wake_ the minimum over all of
-  // them.
+  // receiver index i must be stepped (next_wake), next_wake_ the minimum
+  // over all of them. Every honest receiver sleeps until its deadline;
+  // only the hostile slot is due every quantum. receiver_steps_ counts the
+  // steps taken.
   std::vector<uint64_t> wake_at_;
   uint64_t next_wake_ = 0;
+  uint64_t receiver_steps_ = 0;
   // Staged rollout: orchestrator state (touched only by the base step),
   // scripted trial behaviors, and the fleet's currently-deployed image.
   struct Rollout;

@@ -302,6 +302,38 @@ TEST(NetDeterminism, GoldenTraceDigests) {
   }
 }
 
+// The wake schedule (DESIGN.md §9) lets every honest receiver sleep until
+// its next deadline. A receiver stepped in every quantum would read as a
+// share of 1 of (receivers x quanta); star, grid and a grid rollout each
+// stay far below that. receiver_steps is deterministic, so the bounds are
+// exact checks, not timing.
+TEST(NetDeterminism, WakeScheduleLetsReceiversSleep) {
+  using net::TopologyKind;
+  const auto old_blob = linked_blob(apps::fig7_mix(8, 1));
+  const auto blob = linked_blob(apps::fig7_mix(8, 2));
+  const auto share = [](uint64_t steps, uint64_t cycles, size_t nodes) {
+    const uint64_t quanta = cycles / emu::DeviceHub::kCyclesPerRadioByte;
+    return double(steps) / double(quanta * nodes);
+  };
+  for (const TopologyKind kind : {TopologyKind::Star, TopologyKind::Grid}) {
+    const net::NetConfig cfg = fleet_config(kind, 16, 10);
+    net::NetSim sim(cfg, blob);
+    const auto r = sim.disseminate();
+    ASSERT_TRUE(r.all_acked) << net::to_string(kind);
+    EXPECT_LE(share(r.receiver_steps, r.cycles, cfg.nodes), 0.10)
+        << net::to_string(kind) << " stepped " << r.receiver_steps;
+  }
+  net::NetConfig cfg = fleet_config(TopologyKind::Grid, 16, 5);
+  cfg.rollout.enabled = true;
+  cfg.rollout.wave_size = 4;
+  net::NetSim sim(cfg, blob);
+  sim.set_initial_image(old_blob, 0);
+  const auto r = sim.rollout();
+  ASSERT_TRUE(r.complete);
+  EXPECT_LE(share(r.receiver_steps, r.cycles, cfg.nodes), 0.10)
+      << "grid rollout stepped " << r.receiver_steps;
+}
+
 // --- Property: randomized programs survive a lossy link ---------------------
 
 TEST(NetProperty, RandomProgramsDisseminateByteIdenticalOver32Seeds) {
