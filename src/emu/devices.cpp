@@ -92,23 +92,40 @@ void DeviceHub::sync(uint64_t now) {
 // readable buffer. Arrivals beyond the buffer depth are lost (RX overrun),
 // like on the real transceiver when the task polls too slowly. Nothing is
 // read in between, so a packet's arrived span splits into a kept prefix
-// (up to the free room) and an overrun tail.
+// (up to the free room) and an overrun tail. A kept prefix that continues
+// the newest run (same packet, next offset) extends it.
 void DeviceHub::rx_arrive(uint64_t now) {
   while (!rx_pending_.empty()) {
     RxPacket& p = rx_pending_.front();
+    const size_t size = p.packet->bytes.size();
     if (now < p.begin + (rx_cursor_ + 1) * uint64_t(kCyclesPerRadioByte))
       break;
     const size_t arrived = static_cast<size_t>(std::min<uint64_t>(
-        p.bytes.size(), (now - p.begin) / kCyclesPerRadioByte));
+        size, (now - p.begin) / kCyclesPerRadioByte));
     const size_t n = arrived - rx_cursor_;
-    const size_t keep = std::min(n, kRxBufferCap - rx_avail_.size());
-    const auto from = p.bytes.begin() + static_cast<ptrdiff_t>(rx_cursor_);
-    rx_avail_.insert(rx_avail_.end(), from,
-                     from + static_cast<ptrdiff_t>(keep));
+    const size_t keep = std::min(n, kRxBufferCap - rx_avail_bytes_);
+    const bool done = arrived == size;
+    if (keep > 0) {
+      RxRun* back =
+          rx_runs_count_ > 0
+              ? &rx_runs_[(rx_runs_head_ + rx_runs_count_ - 1) % kRxBufferCap]
+              : nullptr;
+      if (back && back->packet == p.packet &&
+          back->offset + back->length == rx_cursor_) {
+        back->length += static_cast<uint32_t>(keep);
+      } else {
+        RxRun& r = rx_runs_[(rx_runs_head_ + rx_runs_count_) % kRxBufferCap];
+        r.packet = done ? std::move(p.packet) : p.packet;
+        r.offset = static_cast<uint32_t>(rx_cursor_);
+        r.length = static_cast<uint32_t>(keep);
+        ++rx_runs_count_;
+      }
+      rx_avail_bytes_ += keep;
+    }
     rx_delivered_ += keep;
     rx_overruns_ += n - keep;
     radio_irq_flag_ = true;
-    if (arrived < p.bytes.size()) {
+    if (!done) {
       rx_cursor_ = arrived;
       break;
     }
@@ -121,18 +138,42 @@ void DeviceHub::rx_arrive(uint64_t now) {
                           (rx_cursor_ + 1) * uint64_t(kCyclesPerRadioByte);
 }
 
+uint8_t DeviceHub::rx_pop() {
+  if (rx_runs_count_ == 0) return 0;
+  RxRun& r = rx_runs_[rx_runs_head_];
+  const uint8_t value = r.packet->bytes[r.offset];
+  ++r.offset;
+  --rx_avail_bytes_;
+  if (--r.length == 0) {
+    r.packet.reset();
+    rx_runs_head_ = (rx_runs_head_ + 1) % kRxBufferCap;
+    --rx_runs_count_;
+  }
+  return value;
+}
+
 void DeviceHub::take_rx(std::vector<uint8_t>& out) {
-  sync(now_);
-  out.insert(out.end(), rx_avail_.begin(), rx_avail_.end());
-  rx_avail_.clear();
+  take_rx_runs([&out](RadioPacketRef&& packet, size_t offset, size_t length) {
+    const auto from = packet->bytes.begin() + static_cast<ptrdiff_t>(offset);
+    out.insert(out.end(), from, from + static_cast<ptrdiff_t>(length));
+  });
+}
+
+void DeviceHub::flush_rx() {
+  rx_pending_.clear();
+  rx_cursor_ = 0;
+  rx_next_at_ = kNever;
+  for (RxRun& r : rx_runs_) r.packet.reset();
+  rx_runs_head_ = rx_runs_count_ = rx_avail_bytes_ = 0;
+  rx_busy_until_ = 0;
 }
 
 std::optional<uint64_t> DeviceHub::rx_arrival(size_t k) const {
-  if (k <= rx_avail_.size()) return now_;
-  k -= rx_avail_.size();
+  if (k <= rx_avail_bytes_) return now_;
+  k -= rx_avail_bytes_;
   size_t cursor = rx_cursor_;
   for (const RxPacket& p : rx_pending_) {
-    const size_t left = p.bytes.size() - cursor;
+    const size_t left = p.packet->bytes.size() - cursor;
     if (k <= left)
       return p.begin + (cursor + k) * uint64_t(kCyclesPerRadioByte);
     k -= left;
@@ -173,14 +214,11 @@ void DeviceHub::io_access(uint16_t addr, uint8_t& value, bool write) {
       if (write) radio_buf_.push_back(value);
       break;
     case kRadioRxData:
-      if (!write) {
-        value = rx_avail_.empty() ? 0 : rx_avail_.front();
-        if (!rx_avail_.empty()) rx_avail_.pop_front();
-      }
+      if (!write) value = rx_pop();
       break;
     case kRadioRxAvail:
       if (!write)
-        value = static_cast<uint8_t>(std::min<size_t>(rx_avail_.size(), 255));
+        value = static_cast<uint8_t>(std::min<size_t>(rx_avail_bytes_, 255));
       break;
     case kRadioCtrl:
       if (write && value == 1 && !radio_buf_.empty()) {
@@ -300,20 +338,19 @@ bool DeviceHub::load_flash_page(std::span<const uint8_t> page) {
 
 uint64_t DeviceHub::schedule_rx(std::span<const uint8_t> bytes,
                                 uint64_t at_cycle) {
-  return schedule_rx(std::vector<uint8_t>(bytes.begin(), bytes.end()),
-                     at_cycle);
+  return schedule_rx(std::make_shared<const RadioPacket>(bytes), at_cycle);
 }
 
-uint64_t DeviceHub::schedule_rx(std::vector<uint8_t>&& bytes,
-                                uint64_t at_cycle) {
+uint64_t DeviceHub::schedule_rx(RadioPacketRef packet, uint64_t at_cycle) {
   // Serial medium: a delivery that overlaps the in-flight one queues
   // behind it (arrival times across rx_pending_ stay monotone, so sync()
   // drains strictly in arrival order).
+  const size_t size = packet->bytes.size();
   const uint64_t begin = std::max(at_cycle, rx_busy_until_);
-  rx_busy_until_ = begin + bytes.size() * uint64_t(kCyclesPerRadioByte);
-  if (bytes.empty()) return begin;
+  rx_busy_until_ = begin + size * uint64_t(kCyclesPerRadioByte);
+  if (size == 0) return begin;
   if (rx_pending_.empty()) rx_next_at_ = begin + kCyclesPerRadioByte;
-  rx_pending_.push_back({begin, std::move(bytes)});
+  rx_pending_.push_back({begin, std::move(packet)});
   return begin;
 }
 

@@ -9,6 +9,7 @@
 // interesting thing happen" so SLEEP can fast-forward the clock.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -19,6 +20,7 @@
 
 #include "emu/io_map.hpp"
 #include "emu/memory.hpp"
+#include "emu/radio_packet.hpp"
 
 namespace sensmart::emu {
 
@@ -196,35 +198,44 @@ class DeviceHub {
   // still in the air, a newly scheduled packet queues behind it instead of
   // interleaving with (or shadowing) the in-flight bytes — its delivery
   // start is pushed to the end of the busy window. Returns the cycle the
-  // delivery actually starts. The rvalue overload takes the bytes over
-  // instead of copying them.
+  // delivery actually starts. The RadioPacketRef overload queues a shared
+  // packet by reference; the span overload copies the bytes into one.
+  uint64_t schedule_rx(RadioPacketRef packet, uint64_t at_cycle);
   uint64_t schedule_rx(std::span<const uint8_t> bytes, uint64_t at_cycle);
-  uint64_t schedule_rx(std::vector<uint8_t>&& bytes, uint64_t at_cycle);
   // Back-compat aliases (delivery at the current device time).
   void inject_rx(std::span<const uint8_t> bytes, uint64_t at_cycle) {
     schedule_rx(bytes, at_cycle);
   }
   void inject_rx(std::span<const uint8_t> bytes) { schedule_rx(bytes, now_); }
-  size_t rx_buffered() const { return rx_avail_.size(); }
+  size_t rx_buffered() const { return rx_avail_bytes_; }
   // Bytes lost to a full RX buffer / total bytes handed to the buffer.
   uint64_t rx_overruns() const { return rx_overruns_; }
   uint64_t rx_delivered() const { return rx_delivered_; }
   // Drop any buffered and in-flight RX bytes (node reboot into a freshly
   // installed image; the half-received tail of the old session must not be
   // readable by the new program).
-  void flush_rx() {
-    rx_pending_.clear();
-    rx_cursor_ = 0;
-    rx_next_at_ = kNever;
-    rx_avail_.clear();
-    rx_busy_until_ = 0;
-  }
+  void flush_rx();
 
   // Host-side radio access for simulators driving the device without guest
   // code. take_rx appends every readable RX byte to `out` and empties the
   // buffer — exactly what a loop of kRadioRxAvail/kRadioRxData reads at the
   // current device time returns, without the per-byte port round trip.
   void take_rx(std::vector<uint8_t>& out);
+  // The same bytes without copying them: each buffered run is handed over
+  // as sink(RadioPacketRef&& packet, size_t offset, size_t length), in
+  // arrival order. A run is a contiguous slice of one packet; consecutive
+  // runs of the same packet are split exactly where bytes between them
+  // were lost to an overrun or the packet was delivered again.
+  template <typename Sink>
+  void take_rx_runs(Sink&& sink) {
+    sync(now_);
+    for (; rx_runs_count_ > 0; --rx_runs_count_) {
+      RxRun& r = rx_runs_[rx_runs_head_];
+      sink(std::move(r.packet), size_t(r.offset), size_t(r.length));
+      rx_runs_head_ = (rx_runs_head_ + 1) % kRxBufferCap;
+    }
+    rx_avail_bytes_ = 0;
+  }
   // Cycle at which the k-th (1-based) unread byte — buffered bytes first,
   // then deliveries in flight — becomes readable, assuming no overrun in
   // between. Bytes already readable report the current device time;
@@ -315,17 +326,29 @@ class DeviceHub {
   // Receive path. Deliveries in flight are kept one entry per packet:
   // byte i of a packet arrives at begin + (i+1) * kCyclesPerRadioByte, and
   // rx_cursor_ counts the front packet's bytes that have already arrived
-  // (into rx_avail_, or lost to an overrun). rx_next_at_ caches the arrival
-  // of the next pending byte so the hot-path sync is one compare. Arrived,
-  // unread bytes wait in rx_avail_ (at most kRxBufferCap).
+  // (into the buffer, or lost to an overrun). rx_next_at_ caches the
+  // arrival of the next pending byte so the hot-path sync is one compare.
+  // Arrived, unread bytes (at most kRxBufferCap) wait in a fixed ring of
+  // runs, each a slice of one shared packet: the bytes themselves are never
+  // copied on the way in, and a ring of kRxBufferCap runs always suffices
+  // because every run holds at least one byte.
   struct RxPacket {
     uint64_t begin = 0;
-    std::vector<uint8_t> bytes;
+    RadioPacketRef packet;
   };
+  struct RxRun {
+    RadioPacketRef packet;
+    uint32_t offset = 0;
+    uint32_t length = 0;
+  };
+  uint8_t rx_pop();
   std::deque<RxPacket> rx_pending_;
   size_t rx_cursor_ = 0;
   uint64_t rx_next_at_ = kNever;
-  std::deque<uint8_t> rx_avail_;
+  std::array<RxRun, kRxBufferCap> rx_runs_;
+  size_t rx_runs_head_ = 0;
+  size_t rx_runs_count_ = 0;
+  size_t rx_avail_bytes_ = 0;
   uint64_t rx_busy_until_ = 0;  // serial-medium cursor for schedule_rx
   uint64_t rx_overruns_ = 0;
   uint64_t rx_delivered_ = 0;

@@ -70,12 +70,58 @@ void encode_frame_into(const Frame& f, std::vector<uint8_t>& out) {
   out.push_back(static_cast<uint8_t>(crc >> 8));
 }
 
+ParsedPacket::ParsedPacket(std::span<const uint8_t> b)
+    : emu::RadioPacket(b) {
+  // The verdict is the byte-wise parser's own. A first frame as long as
+  // the packet must start at byte 0, with no byte skipped or rejected
+  // before it.
+  Deframer d;
+  d.push(bytes);
+  whole_frame = d.next(frame) &&
+                kFrameOverhead + frame.payload.size() == bytes.size();
+}
+
 void Deframer::push(std::span<const uint8_t> bytes) {
+  if (partial_) unshare();
   if (head_ != 0) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(head_));
     head_ = 0;
   }
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
+void Deframer::push(emu::RadioPacketRef packet, size_t offset,
+                    size_t length) {
+  if (length == 0) return;
+  if (partial_) {
+    if (packet == partial_ && offset == partial_have_) {
+      partial_have_ += length;
+      if (partial_have_ == partial_->bytes.size())
+        ready_.push_back(std::move(partial_));
+      return;
+    }
+  } else if (offset == 0 && head_ == buf_.size()) {
+    const auto* parsed = dynamic_cast<const ParsedPacket*>(packet.get());
+    if (parsed && parsed->whole_frame) {
+      std::shared_ptr<const ParsedPacket> p(std::move(packet), parsed);
+      if (length == p->bytes.size()) {
+        ready_.push_back(std::move(p));
+      } else {
+        partial_ = std::move(p);
+        partial_have_ = length;
+      }
+      return;
+    }
+  }
+  push(std::span<const uint8_t>(packet->bytes).subspan(offset, length));
+}
+
+void Deframer::unshare() {
+  // No copied byte is unparsed while a packet is partial.
+  buf_.assign(partial_->bytes.begin(),
+              partial_->bytes.begin() + static_cast<ptrdiff_t>(partial_have_));
+  head_ = 0;
+  partial_.reset();
 }
 
 std::optional<Frame> Deframer::next() {
@@ -85,6 +131,22 @@ std::optional<Frame> Deframer::next() {
 }
 
 bool Deframer::next(Frame& out) {
+  emu::RadioPacketRef owner;
+  const Frame* f = next(out, owner);
+  if (f && f != &out) out = *f;
+  return f != nullptr;
+}
+
+const Frame* Deframer::next(Frame& scratch, emu::RadioPacketRef& owner) {
+  if (ready_head_ < ready_.size()) {
+    const ParsedPacket& p = *ready_[ready_head_];
+    owner = std::move(ready_[ready_head_]);
+    if (++ready_head_ == ready_.size()) {
+      ready_.clear();
+      ready_head_ = 0;
+    }
+    return &p.frame;
+  }
   while (head_ < buf_.size()) {
     const uint8_t* p = buf_.data() + head_;
     const size_t avail = buf_.size() - head_;
@@ -97,7 +159,7 @@ bool Deframer::next(Frame& out) {
       skipped_ += skip;
       continue;
     }
-    if (avail < kFrameOverhead) return false;  // need header
+    if (avail < kFrameOverhead) return nullptr;  // need header
     const uint8_t len = p[5];
     if (len > kMaxPayload) {  // impossible length: lost sync
       ++head_;
@@ -105,7 +167,7 @@ bool Deframer::next(Frame& out) {
       continue;
     }
     const size_t total = kFrameOverhead + len;
-    if (avail < total) return false;  // frame still arriving
+    if (avail < total) return nullptr;  // frame still arriving
     const uint16_t want = static_cast<uint16_t>(
         p[6 + len] | (static_cast<uint16_t>(p[7 + len]) << 8));
     if (crc16_ccitt({p + 1, 5u + len}) != want) {
@@ -122,19 +184,21 @@ bool Deframer::next(Frame& out) {
       ++crc_errors_;
       continue;
     }
-    out.type = static_cast<FrameType>(rawtype);
-    out.version = p[2];
-    out.seq = static_cast<uint16_t>(p[3] | (static_cast<uint16_t>(p[4]) << 8));
-    out.payload.assign(p + 6, p + 6 + len);
-    return true;
+    scratch.type = static_cast<FrameType>(rawtype);
+    scratch.version = p[2];
+    scratch.seq =
+        static_cast<uint16_t>(p[3] | (static_cast<uint16_t>(p[4]) << 8));
+    scratch.payload.assign(p + 6, p + 6 + len);
+    return &scratch;
   }
-  return false;
+  return nullptr;
 }
 
 size_t Deframer::need() const {
-  const size_t avail = buf_.size() - head_;
+  if (ready_head_ < ready_.size()) return 0;
+  const uint8_t* p = partial_ ? partial_->bytes.data() : buf_.data() + head_;
+  const size_t avail = partial_ ? partial_have_ : buf_.size() - head_;
   if (avail == 0) return kFrameOverhead;
-  const uint8_t* p = buf_.data() + head_;
   if (p[0] != kFrameSync) return 0;
   if (avail < kFrameOverhead) return kFrameOverhead - avail;
   const uint8_t len = p[5];

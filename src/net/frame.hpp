@@ -13,6 +13,12 @@
 // The receive side parses the raw RX byte stream with a resynchronizing
 // Deframer: a corrupted sync byte, length byte or CRC drops bytes until the
 // next parseable frame — corruption is detected, never delivered.
+//
+// A transmitted packet is parsed once, when it goes on the air
+// (ParsedPacket). A receiver whose deframer assembles that packet from one
+// clean shared copy, starting with nothing else buffered, reuses the
+// verdict instead of copying, CRC-checking and decoding the bytes again
+// (DESIGN.md §9).
 #pragma once
 
 #include <array>
@@ -20,6 +26,8 @@
 #include <optional>
 #include <span>
 #include <vector>
+
+#include "emu/radio_packet.hpp"
 
 namespace sensmart::net {
 
@@ -54,17 +62,39 @@ std::vector<uint8_t> encode_frame(const Frame& f);
 // steady-state encoding allocation-free.
 void encode_frame_into(const Frame& f, std::vector<uint8_t>& out);
 
-// Streaming parser over the raw RX byte sequence.
+// A transmitted packet with the byte-wise Deframer's verdict on it: when
+// `whole_frame` holds, an empty Deframer fed exactly these bytes delivers
+// `frame` and consumes every byte, with no skipped byte and no CRC error.
+// Any other packet (garbage, truncated, several frames, unknown type) has
+// whole_frame false and is always parsed byte by byte.
+struct ParsedPacket final : emu::RadioPacket {
+  explicit ParsedPacket(std::span<const uint8_t> b);
+
+  bool whole_frame = false;
+  Frame frame;  // valid when whole_frame
+};
+
+// Streaming parser over the raw RX byte sequence. Its output is a function
+// of the bytes pushed alone, however they are split into pushes.
 class Deframer {
  public:
   void push(uint8_t byte) { push(std::span<const uint8_t>(&byte, 1)); }
   void push(std::span<const uint8_t> bytes);
+  // Push packet->bytes[offset, offset + length) without copying when the
+  // slice continues a whole-frame ParsedPacket started with nothing else
+  // buffered; otherwise the bytes are copied as push(span) would.
+  void push(emu::RadioPacketRef packet, size_t offset, size_t length);
   // Next complete, CRC-valid frame, or nullopt if more bytes are needed.
   // Invalid prefixes are skipped byte-by-byte (resync).
   std::optional<Frame> next();
   // Same, filling `out` (its payload capacity is reused); false if more
   // bytes are needed.
   bool next(Frame& out);
+  // Same, without a copy when the frame is a whole shared packet: returns
+  // that packet's frame and sets `owner` to the packet, which keeps the
+  // frame alive; otherwise decodes into `scratch` and returns it. nullptr
+  // if more bytes are needed.
+  const Frame* next(Frame& scratch, emu::RadioPacketRef& owner);
   // How many more bytes must be pushed before next() can decide anything
   // (deliver a frame, or reject the head candidate on its CRC): the rest
   // of the head candidate's header or body, kFrameOverhead when the buffer
@@ -76,8 +106,17 @@ class Deframer {
   uint64_t skipped_bytes() const { return skipped_; }
 
  private:
-  // Unconsumed bytes are buf_[head_, end); the consumed prefix is dropped
-  // on the next push.
+  // Copy the partial packet's bytes into buf_ (it stops being shared).
+  void unshare();
+
+  // The unparsed stream is, in order: whole shared packets ready_[ready_head_,
+  // end), then either the first partial_have_ bytes of the shared packet
+  // partial_ or the copied bytes buf_[head_, end) — never both. The
+  // consumed prefix of buf_ is dropped on the next push.
+  std::vector<std::shared_ptr<const ParsedPacket>> ready_;
+  size_t ready_head_ = 0;
+  std::shared_ptr<const ParsedPacket> partial_;
+  size_t partial_have_ = 0;
   std::vector<uint8_t> buf_;
   size_t head_ = 0;
   uint64_t crc_errors_ = 0;

@@ -8,23 +8,13 @@ namespace sensmart::net {
 
 using emu::DeviceHub;
 
-void Medium::enqueue(size_t to, std::span<const uint8_t> packet, uint64_t at,
-                     bool corrupt, size_t from, uint64_t tx_start,
-                     uint64_t tx_done) {
-  std::vector<uint8_t> bytes(packet.begin(), packet.end());
-  if (corrupt) {
-    // Flip 1..3 bits at seeded positions — enough to break the frame CRC
-    // (or, rarely, only the sync byte: the deframer resyncs either way).
-    const uint32_t flips = prng_.range(1, 3);
-    for (uint32_t i = 0; i < flips; ++i) {
-      const uint32_t bit =
-          prng_.below(static_cast<uint32_t>(bytes.size() * 8));
-      bytes[bit >> 3] ^= static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  // tx_done is 0 for star-mode deliveries: no collision check at flush.
-  pending_.emplace(std::make_pair(at, enqueue_seq_++),
-                   Delivery{to, std::move(bytes), from, tx_start, tx_done});
+Medium::Arrival& Medium::arrival_at(uint64_t at) {
+  for (Arrival& a : batch_)
+    if (a.at == at) return a;
+  Arrival& a = batch_.emplace_back();
+  a.at = at;
+  a.seq = enqueue_seq_++;
+  return a;
 }
 
 void Medium::add_partition(std::span<const size_t> a,
@@ -87,19 +77,20 @@ void Medium::note_tx(size_t from, uint64_t start, uint64_t done) {
 
 void Medium::flush(uint64_t now) {
   flushed_to_.clear();
-  auto it = pending_.begin();
-  while (it != pending_.end() && it->first.first <= now) {
-    Delivery& d = it->second;
-    if (d.tx_done != 0 && collided(d.from, d.to, d.tx_start, d.tx_done)) {
-      ++stats_.collisions;
-      if (observer_)
-        observer_(d.tx_done, FaultAction::Collision, d.from, d.to);
-      it = pending_.erase(it);
-      continue;
+  while (!pending_.empty() && pending_.front().at <= now) {
+    std::pop_heap(pending_.begin(), pending_.end(), later);
+    const Arrival a = std::move(pending_.back());
+    pending_.pop_back();
+    for (const Delivery& d : a.to) {
+      if (a.tx_done != 0 && collided(a.from, d.to, a.tx_start, a.tx_done)) {
+        ++stats_.collisions;
+        if (observer_)
+          observer_(a.tx_done, FaultAction::Collision, a.from, d.to);
+        continue;
+      }
+      devs_[d.to]->schedule_rx(d.corrupted ? d.corrupted : a.packet, a.at);
+      flushed_to_.push_back(d.to);
     }
-    devs_[d.to]->schedule_rx(std::move(d.bytes), it->first.first);
-    flushed_to_.push_back(d.to);
-    it = pending_.erase(it);
   }
   // Prune transmission-log entries far older than any delivery still in
   // flight can overlap (worst case: a reorder-delayed copy of a maximum-
@@ -127,6 +118,25 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
   // enqueued copy (including duplicate/reordered ones: they model the
   // same airtime) carries the transmission identity.
   const uint64_t cid = mesh ? done_cycle : 0;
+
+  // Deliver one copy of this packet to `to` at cycle `at`; a corrupted copy
+  // gets its own buffer with 1..3 bits flipped at seeded positions — enough
+  // to break the frame CRC (or, rarely, only the sync byte: the deframer
+  // resyncs either way).
+  auto enqueue = [&](size_t to, uint64_t at, bool corrupt) {
+    emu::RadioPacketRef copy;
+    if (corrupt) {
+      std::vector<uint8_t> bytes(packet.begin(), packet.end());
+      const uint32_t flips = prng_.range(1, 3);
+      for (uint32_t i = 0; i < flips; ++i) {
+        const uint32_t bit =
+            prng_.below(static_cast<uint32_t>(bytes.size() * 8));
+        bytes[bit >> 3] ^= static_cast<uint8_t>(1u << (bit & 7));
+      }
+      copy = std::make_shared<const emu::RadioPacket>(std::move(bytes));
+    }
+    arrival_at(at).to.push_back({to, std::move(copy)});
+  };
 
   for (size_t to = 0; to < n; ++to) {
     if (to == from) continue;
@@ -184,35 +194,39 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
         continue;
       case FaultAction::Duplicate:
         ++stats_.duplicated;
-        enqueue(to, packet, done_cycle + base_latency, false, from, tx_start,
-                cid);
-        enqueue(to, packet,
-                done_cycle + base_latency +
-                    packet.size() * DeviceHub::kCyclesPerRadioByte,
-                false, from, tx_start, cid);
+        enqueue(to, done_cycle + base_latency, false);
+        enqueue(to, done_cycle + base_latency + air, false);
         break;
       case FaultAction::Reorder: {
         // Push this packet past the next few transmissions: an extra
         // delay of 2..6 packet-lengths-worth of airtime.
         ++stats_.reordered;
-        const uint64_t extra = uint64_t(prng_.range(2, 6)) * packet.size() *
-                               DeviceHub::kCyclesPerRadioByte;
-        enqueue(to, packet, done_cycle + base_latency + extra, false, from,
-                tx_start, cid);
+        const uint64_t extra = uint64_t(prng_.range(2, 6)) * air;
+        enqueue(to, done_cycle + base_latency + extra, false);
         break;
       }
       case FaultAction::Corrupt:
         ++stats_.corrupted;
-        enqueue(to, packet, done_cycle + base_latency, true, from, tx_start,
-                cid);
+        enqueue(to, done_cycle + base_latency, true);
         break;
       case FaultAction::None:
-        enqueue(to, packet, done_cycle + base_latency, false, from, tx_start,
-                cid);
+        enqueue(to, done_cycle + base_latency, false);
         break;
     }
     ++stats_.delivered;
   }
+
+  if (batch_.empty()) return;
+  const auto shared = std::make_shared<const ParsedPacket>(packet);
+  for (Arrival& a : batch_) {
+    a.packet = shared;
+    a.from = from;
+    a.tx_start = tx_start;
+    a.tx_done = cid;
+    pending_.push_back(std::move(a));
+    std::push_heap(pending_.begin(), pending_.end(), later);
+  }
+  batch_.clear();
 }
 
 }  // namespace sensmart::net

@@ -5,7 +5,9 @@
 // per (sender, receiver) link the medium rolls — in a fixed order, from one
 // SplitMix64 stream — drop, duplicate, corruption and reordering delay, so
 // a run is a pure function of the chaos seed and the (deterministic)
-// transmission sequence. Deliveries are buffered and flushed once per
+// transmission sequence. A broadcast is copied once, into one shared
+// ParsedPacket that every delivery refers to; only a corrupted delivery
+// gets a private copy. Deliveries are buffered and flushed once per
 // simulation quantum in delivery-time order (so a reorder-delayed packet
 // really does land behind packets transmitted after it), then handed to
 // the destination device via DeviceHub::schedule_rx, whose serial-medium
@@ -15,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -155,10 +156,6 @@ class Medium {
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
  private:
-  void enqueue(size_t to, std::span<const uint8_t> packet, uint64_t at,
-               bool corrupt, size_t from = 0, uint64_t tx_start = 0,
-               uint64_t tx_done = 0);
-
   bool in_outage(size_t from, size_t to, uint64_t at) const;
   bool collided(size_t from, size_t to, uint64_t tx_start,
                 uint64_t tx_done) const;
@@ -172,18 +169,35 @@ class Medium {
   FaultPolicy policy_;
   Observer observer_;
   MediumStats stats_;
-  // Buffered deliveries keyed by (start cycle, enqueue sequence) — the
-  // sequence keeps the drain order total and deterministic. Mesh
-  // deliveries carry their transmission's identity and airtime window so
-  // the collision check at flush time can match them against the log.
+  // Buffered deliveries, one entry per (transmission, arrival cycle): the
+  // receivers a broadcast reaches at the same cycle share it, in link
+  // order, and all but Corrupt ones point at the broadcast's one packet.
+  // Entries drain in (arrival, enqueue sequence) order, a min-heap on that
+  // pair, so the per-link drain order is exactly one sequence number per
+  // delivery would give: a broadcast's deliveries are enqueued together,
+  // in link order. Mesh entries carry the transmission's identity and
+  // airtime window for the collision check at flush time.
   struct Delivery {
     size_t to;
-    std::vector<uint8_t> bytes;
+    emu::RadioPacketRef corrupted;  // private bit-flipped copy, or null
+  };
+  struct Arrival {
+    uint64_t at = 0;
+    uint64_t seq = 0;
+    emu::RadioPacketRef packet;
     size_t from = 0;
     uint64_t tx_start = 0;
     uint64_t tx_done = 0;  // 0 = star-mode delivery, no collision check
+    std::vector<Delivery> to;
   };
-  std::map<std::pair<uint64_t, uint64_t>, Delivery> pending_;
+  // The entry of the broadcast in progress that lands at `at`, created on
+  // first use (with the next enqueue sequence).
+  Arrival& arrival_at(uint64_t at);
+  static bool later(const Arrival& a, const Arrival& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+  std::vector<Arrival> pending_;  // heap ordered by later()
+  std::vector<Arrival> batch_;    // the broadcast in progress
   uint64_t enqueue_seq_ = 0;
   // Mesh transmission log for collision resolution. Broadcasts reach the
   // medium in a canonical deterministic order (the engine fires TX

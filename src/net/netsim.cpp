@@ -289,7 +289,7 @@ NetSim::NetSim(NetConfig cfg, std::vector<uint8_t> image_blob)
     medium_.set_topology(
         build_topology(cfg_.topo, cfg_.nodes + 1, cfg_.chaos_seed));
   air_busy_until_.assign(cfg_.nodes + 1, 0);
-  wake_at_.assign(cfg_.nodes, 0);  // every receiver due in the first quantum
+  due_.reset(cfg_.nodes, kByte);  // every receiver due in the first quantum
 
   machines_.reserve(cfg_.nodes + 1);
   for (size_t id = 0; id <= cfg_.nodes; ++id) {
@@ -438,10 +438,12 @@ void NetSim::send_frame(size_t node_id, const Frame& f) {
     ++base_->stats.frames_tx;
 }
 
+// Hand the radio's received runs to the deframer without copying them.
 void NetSim::drain_rx(size_t node_id, Deframer& d) {
-  rx_scratch_.clear();
-  machines_[node_id]->dev().take_rx(rx_scratch_);
-  d.push(rx_scratch_);
+  machines_[node_id]->dev().take_rx_runs(
+      [&d](emu::RadioPacketRef&& packet, size_t offset, size_t length) {
+        d.push(std::move(packet), offset, length);
+      });
 }
 
 const Frame& NetSim::data_frame(uint8_t version, uint16_t seq,
@@ -621,7 +623,9 @@ void NetSim::on_base_frame(const Frame& f, uint64_t now) {
 
 void NetSim::step_base(uint64_t now) {
   drain_rx(0, base_->deframer);
-  while (base_->deframer.next(rx_frame_)) on_base_frame(rx_frame_, now);
+  emu::RadioPacketRef owner;  // keeps a shared frame alive while handled
+  while (const Frame* f = base_->deframer.next(rx_frame_, owner))
+    on_base_frame(*f, now);
   if (rollout_phase_) {
     step_base_rollout(now);
     return;
@@ -1281,7 +1285,11 @@ void NetSim::step_node(Node& n, uint64_t now) {
     return;
   }
   drain_rx(n.id, n.deframer);
-  while (n.deframer.next(rx_frame_)) on_node_frame(n, rx_frame_, now);
+  // `owner` keeps a shared frame alive while it is handled: the handler
+  // may power the node down, which resets its deframer.
+  emu::RadioPacketRef owner;
+  while (const Frame* f = n.deframer.next(rx_frame_, owner))
+    on_node_frame(n, *f, now);
   if (n.down) return;  // a Control-commanded activation reboot fired
   if (rollout_phase_) {
     step_node_rollout(n, now);
@@ -1489,28 +1497,26 @@ bool NetSim::run_loop() {
     for (size_t to : medium_.flushed_to()) {
       if (to == 0 || nodes_[to - 1]->down) continue;
       const uint64_t at = quantum_at_or_after(rx_ready_at(*nodes_[to - 1]));
-      wake_at_[to - 1] = std::min(wake_at_[to - 1], at);
-      next_wake_ = std::min(next_wake_, at);
+      if (at < due_.wake(to - 1)) due_.set(to - 1, at);
     }
     // Devices advance in machine-id order, so TX completions reach the
     // medium (and the trace) base first, then due receivers by id. Each
     // due receiver runs its lifecycle and protocol step right after its
-    // sync; what it produces for others waits in the outbox. next_wake_
-    // restarts as the minimum over every receiver's (new) deadline.
+    // sync and goes back into the due set with its new deadline; what it
+    // produces for others waits in the outbox. A step never moves another
+    // receiver's deadline (nothing it sends is heard before the next
+    // flush), so taking the due receivers out first keeps the order.
     machines_[0]->dev().sync(t_);
-    if (t_ >= next_wake_) {
-      next_wake_ = kNever;
-      for (size_t i = 0; i < wake_at_.size(); ++i) {
-        if (wake_at_[i] <= t_) {
-          Node& n = *nodes_[i];
-          ++receiver_steps_;
-          machines_[n.id]->dev().sync(t_);
-          node_lifecycle(n, t_);
-          if (!n.down) step_node(n, t_);
-          wake_at_[i] = next_wake(n, t_);
-        }
-        next_wake_ = std::min(next_wake_, wake_at_[i]);
-      }
+    due_ids_.clear();
+    due_.take_due(t_, due_ids_);
+    wake_entries_ += due_ids_.size();
+    for (const uint32_t i : due_ids_) {
+      Node& n = *nodes_[i];
+      ++receiver_steps_;
+      machines_[n.id]->dev().sync(t_);
+      node_lifecycle(n, t_);
+      if (!n.down) step_node(n, t_);
+      due_.set(i, next_wake(n, t_));
     }
     // Receivers' transmission starts first, so the base defers to node
     // frames already on the air; then the base steps; then the receivers'

@@ -27,6 +27,7 @@
 
 #include "emu/machine.hpp"
 #include "net/auth.hpp"
+#include "net/due_set.hpp"
 #include "net/frame.hpp"
 #include "net/medium.hpp"
 #include "net/topology.hpp"
@@ -435,6 +436,10 @@ class NetSim {
   emu::Machine& node_machine(size_t node);
 
   const std::vector<NetTraceEvent>& trace() const { return trace_; }
+  // Wake-schedule entries the quantum loop examined to find the receivers
+  // it stepped, over every phase run so far. The due set hands out only
+  // due receivers, so this equals the result's receiver_steps.
+  uint64_t wake_entries_examined() const { return wake_entries_; }
 
  private:
   struct Node;
@@ -548,8 +553,9 @@ class NetSim {
   std::vector<std::unique_ptr<Node>> nodes_;  // receiver i -> id i+1
 
   // Scratch buffers reused by every node's step (no per-frame allocation):
-  // received bytes, the deframed frame, frame encoding, an outgoing Data
-  // frame (base or peer serve) and a Nack's missing-chunk list.
+  // the hostile node's received bytes, a frame decoded byte by byte, frame
+  // encoding, an outgoing Data frame (base or peer serve) and a Nack's
+  // missing-chunk list.
   std::vector<uint8_t> rx_scratch_;
   Frame rx_frame_;
   std::vector<uint8_t> encode_scratch_;
@@ -568,13 +574,14 @@ class NetSim {
 
   // Engine state shared by disseminate()/rollout(): simulated time.
   uint64_t t_ = 0;
-  // Wake schedule (DESIGN.md §9): wake_at_[i] is the first quantum at which
-  // receiver index i must be stepped (next_wake), next_wake_ the minimum
-  // over all of them. Every honest receiver sleeps until its deadline;
-  // only the hostile slot is due every quantum. receiver_steps_ counts the
-  // steps taken.
-  std::vector<uint64_t> wake_at_;
-  uint64_t next_wake_ = 0;
+  // Wake schedule (DESIGN.md §9): due_ holds, per receiver index, the
+  // first quantum at which it must be stepped (next_wake). Every honest
+  // receiver sleeps until its deadline; only the hostile slot is due every
+  // quantum. receiver_steps_ counts the steps taken, wake_entries_ the
+  // due-set entries the loop took out to find them, due_ids_ is scratch.
+  DueSet due_;
+  std::vector<uint32_t> due_ids_;
+  uint64_t wake_entries_ = 0;
   uint64_t receiver_steps_ = 0;
   // Staged rollout: orchestrator state (touched only by the base step),
   // scripted trial behaviors, and the fleet's currently-deployed image.
