@@ -1,6 +1,8 @@
 #include "emu/machine.hpp"
 
+#include <cstring>
 #include <iterator>
+#include <new>
 #include <stdexcept>
 
 namespace sensmart::emu {
@@ -59,27 +61,33 @@ bool Machine::hook_thunk(void* self, Machine& m, uint32_t) {
 
 void Machine::materialize_image() {
   if (!flash_.empty()) return;
+  constexpr size_t kCacheBytes = kFlashWords * sizeof(DecodedInsn);
+  // A fresh cache is one zero-filled allocation (all-zero entries are
+  // "not decoded yet"); a detaching one is overwritten whole below.
+  dcache_.reset(static_cast<DecodedInsn*>(
+      shared_ ? std::malloc(kCacheBytes)
+              : std::calloc(kFlashWords, sizeof(DecodedInsn))));
+  if (!dcache_) throw std::bad_alloc();
   if (shared_) {
     // Copy-on-write detach: snapshot the shared image (every entry of its
     // decode cache is decoded, so the snapshot is immediately hot) and stop
     // sharing. The SharedImage itself is never written.
     flash_ = shared_->flash;
-    dcache_ = shared_->dcache;
+    std::memcpy(dcache_.get(), shared_->dcache.data(), kCacheBytes);
     shared_.reset();
   } else {
     flash_.assign(kFlashWords, 0xFFFF);
-    dcache_.assign(kFlashWords, DecodedInsn{});
   }
   flash_ro_ = flash_.data();
-  dcache_ro_ = dcache_.data();
+  dcache_ro_ = dcache_.get();
 }
 
 void Machine::adopt_image(std::shared_ptr<const SharedImage> img) {
   shared_ = std::move(img);
-  // Move-assign empty vectors: `= {}` would only clear and keep the
-  // capacity, i.e. the ~1.2 MB of private image bytes.
+  // Move-assign an empty vector: `= {}` would only clear and keep the
+  // capacity of the private flash.
   flash_ = std::vector<uint16_t>();
-  dcache_ = std::vector<DecodedInsn>();
+  dcache_.reset();
   flash_ro_ = shared_->flash.data();
   dcache_ro_ = shared_->dcache.data();
   flash_used_ = shared_->used;

@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "emu/devices.hpp"
@@ -53,7 +55,10 @@ class Machine {
 
   // Decode-cache entry: the decoded instruction plus its execution
   // metadata, so the hot loop never re-derives size/base-cycles through
-  // the out-of-line isa:: classification switches.
+  // the out-of-line isa:: classification switches. An entry whose bytes
+  // are all zero is "not decoded yet" (handler 0, no NOP run), so a
+  // private cache starts as one zero-filled allocation; decoding writes
+  // every field.
   struct DecodedInsn {
     isa::Instruction ins;
     uint8_t size = 1;     // isa::size_words(ins.op)
@@ -62,6 +67,10 @@ class Machine {
     uint8_t nop_run = 0;  // NOP only: NOP words from here, 1..kMaxNopRun
   };
   static_assert(sizeof(DecodedInsn) == 16, "one decode entry per 16 bytes");
+  // Zero-filled and copied storage holds entries without running a
+  // constructor: the type must be trivially copyable and destructible.
+  static_assert(std::is_trivially_copyable_v<DecodedInsn> &&
+                std::is_trivially_destructible_v<DecodedInsn>);
 
   // One naturalized image shared by a fleet of machines: the full flash
   // plus a completely pre-decoded cache (every entry decoded), immutable
@@ -98,7 +107,7 @@ class Machine {
   // tests/emu_cpu_test.cpp pin this).
   size_t private_image_bytes() const {
     return flash_.capacity() * sizeof(uint16_t) +
-           dcache_.capacity() * sizeof(DecodedInsn);
+           (dcache_ ? kFlashWords * sizeof(DecodedInsn) : 0);
   }
 
   // Load `words` at flash word address `base` and reset decode caches.
@@ -261,9 +270,13 @@ class Machine {
   // Image storage: either private (flash_/dcache_, allocated lazily on
   // first load/fetch) or shared (shared_, immutable). flash_ro_/dcache_ro_
   // are the active read views; fill_entry() writes through dcache_ only,
-  // which aliases dcache_ro_ exactly when the image is private.
+  // which aliases dcache_ro_ exactly when the image is private. dcache_
+  // holds kFlashWords entries from calloc/malloc.
+  struct FreeDeleter {
+    void operator()(DecodedInsn* p) const { std::free(p); }
+  };
   std::vector<uint16_t> flash_;
-  std::vector<DecodedInsn> dcache_;
+  std::unique_ptr<DecodedInsn[], FreeDeleter> dcache_;
   std::shared_ptr<const SharedImage> shared_;
   const uint16_t* flash_ro_ = nullptr;
   const DecodedInsn* dcache_ro_ = nullptr;

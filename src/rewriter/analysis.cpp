@@ -1,7 +1,7 @@
 #include "rewriter/analysis.hpp"
 
 #include <algorithm>
-#include <map>
+#include <stdexcept>
 
 namespace sensmart::rw {
 
@@ -40,9 +40,17 @@ bool groupable(const Instruction& ins) {
 
 }  // namespace
 
+SiteIndex::SiteIndex(const std::vector<DecodedSite>& sites,
+                     size_t code_words)
+    : slot_(code_words + 1, kNone) {
+  for (size_t i = 0; i < sites.size(); ++i)
+    slot_[sites[i].addr] = static_cast<uint32_t>(i);
+}
+
 std::vector<DecodedSite> analyze(const assembler::Image& img, bool grouping) {
+  const size_t words = img.code.size();
   std::vector<DecodedSite> sites;
-  std::map<uint32_t, size_t> by_addr;
+  sites.reserve(words);
 
   auto data_range_at = [&img](uint32_t pc) -> const std::pair<uint32_t, uint32_t>* {
     for (const auto& r : img.data_ranges)
@@ -50,27 +58,30 @@ std::vector<DecodedSite> analyze(const assembler::Image& img, bool grouping) {
     return nullptr;
   };
 
-  for (uint32_t pc = 0; pc < img.code.size();) {
+  for (uint32_t pc = 0; pc < words;) {
     DecodedSite s;
     s.addr = pc;
     if (const auto* r = data_range_at(pc)) {
       s.is_data = true;
       s.size = static_cast<int>(r->second - pc);
-      by_addr[pc] = sites.size();
-      sites.push_back(s);
-      pc = r->second;
-      continue;
+    } else {
+      s.ins = isa::decode(img.code, pc);
+      s.size = isa::size_words(s.ins.op);
     }
-    s.ins = isa::decode(img.code, pc);
-    s.size = isa::size_words(s.ins.op);
-    by_addr[pc] = sites.size();
+    // The rewriter copies every word of a site; one that ends past the
+    // code would be read out of bounds.
+    if (pc + static_cast<uint32_t>(s.size) > words)
+      throw std::runtime_error(img.name +
+                               ": instruction or data range runs past the "
+                               "end of the code");
     sites.push_back(s);
-    pc += s.size;
+    pc += static_cast<uint32_t>(s.size);
   }
 
+  const SiteIndex by_addr(sites, words);
   auto mark_leader = [&](int64_t addr) {
-    auto it = by_addr.find(static_cast<uint32_t>(addr));
-    if (it != by_addr.end()) sites[it->second].block_leader = true;
+    const size_t i = by_addr.find(addr);
+    if (i != SiteIndex::npos) sites[i].block_leader = true;
   };
 
   mark_leader(img.entry);

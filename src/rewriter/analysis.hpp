@@ -40,7 +40,33 @@ struct DecodedSite {
 
 // Decode the whole image and annotate basic-block leaders and access groups.
 // `grouping` disables the grouped-access optimization when false (ablation).
+// Throws std::runtime_error if the last instruction or a data range runs
+// past the end of the code.
 std::vector<DecodedSite> analyze(const assembler::Image& img, bool grouping);
+
+// Dense original-address -> site lookup over one image. It has one slot per
+// code word plus one past the end, sized from the image itself and never
+// from an address read out of it, so a hostile branch target can make a
+// lookup fail but never make the index grow.
+class SiteIndex {
+ public:
+  static constexpr size_t npos = static_cast<size_t>(-1);
+
+  SiteIndex(const std::vector<DecodedSite>& sites, size_t code_words);
+
+  // The site starting at word `addr`; npos for an address before word 0,
+  // past the end of the code, or in the middle of an instruction or data
+  // range.
+  size_t find(int64_t addr) const {
+    if (addr < 0 || static_cast<uint64_t>(addr) >= slot_.size()) return npos;
+    const uint32_t i = slot_[static_cast<size_t>(addr)];
+    return i == kNone ? npos : i;
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<uint32_t> slot_;
+};
 
 // Pointer-provenance coalescing pass: within a basic block, after one
 // translated indirect access through X/Y/Z, later indirect accesses through

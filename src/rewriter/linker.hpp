@@ -66,7 +66,6 @@ class Linker {
   RewriteOptions opts_;
   ServicePool pool_;
   std::vector<NaturalizedProgram> progs_;
-  std::vector<assembler::Image> images_;  // kept for entry/heap info
   uint32_t cursor_ = kAppBase;
   bool linked_ = false;
 };

@@ -19,7 +19,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <tuple>
 #include <vector>
 
 #include "isa/instruction.hpp"
@@ -85,8 +85,10 @@ class ServicePool {
  public:
   // Return the index for `svc`, creating it if new. When merging is
   // disabled (ablation / t-kernel mode) every request creates a new entry.
+  // Either way services() lists the entries in first-request order.
   uint32_t intern(const Service& svc);
 
+  // Set before the first intern().
   void set_merging(bool on) { merging_ = on; }
 
   const std::vector<Service>& services() const { return services_; }
@@ -99,8 +101,12 @@ class ServicePool {
   }
 
  private:
+  void grow();
+
   std::vector<Service> services_;
-  std::map<decltype(std::declval<Service>().key()), uint32_t> index_;
+  // Merging index: an open-addressing hash table (linear probing, at most
+  // half full) of services_ positions plus one; 0 marks an empty slot.
+  std::vector<uint32_t> slots_;
   bool merging_ = true;
   uint32_t requests_ = 0;
   std::array<uint32_t, size_t(kNumServiceKinds)> requests_by_kind_{};
