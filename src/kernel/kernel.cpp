@@ -125,6 +125,11 @@ void Kernel::init() {
     c.group_span = svc.group_span;
     c.store = isa::is_store(ins.op);
     c.is_push = ins.op == Op::Push;
+    if (ins.op == Op::Brbs || ins.op == Op::Brbc) {
+      c.br_always = false;
+      c.br_set = ins.op == Op::Brbs;
+      c.br_bit = ins.b;
+    }
     if (svc.kind == rw::ServiceKind::PushPop) {
       c.run_n = svc.group_span <= 3 ? svc.group_span : 3;
       for (int f = 0; f < c.run_n; ++f)
@@ -179,6 +184,7 @@ bool Kernel::start() {
   if (cfg_.warmup_cycles > 0) m_.charge(cfg_.warmup_cycles);
 
   current_ = 0;
+  bind_current();
   Task& t = tasks_[0];
   t.state = TaskState::Running;
   for (uint8_t r = 0; r < 32; ++r) m_.mem().set_reg(r, t.regs[r]);
@@ -271,7 +277,7 @@ bool Kernel::on_service(emu::Machine& m, uint32_t idx) {
       svc_push_pop(cs, ret);
       break;
     case rw::ServiceKind::CallEnter:
-      svc_call_enter(svc_table_[idx], ret);
+      svc_call_enter(idx, svc_table_[idx], ret);
       break;
     case rw::ServiceKind::Return:
       svc_return(svc_table_[idx], ret);
@@ -280,10 +286,8 @@ bool Kernel::on_service(emu::Machine& m, uint32_t idx) {
       svc_indirect_jump(svc_table_[idx], ret);
       break;
     case rw::ServiceKind::BackwardBranch:
-      svc_branch(svc_table_[idx], ret, /*backward=*/true);
-      break;
     case rw::ServiceKind::ForwardBranch:
-      svc_branch(svc_table_[idx], ret, /*backward=*/false);
+      svc_branch(idx, cs, ret);
       break;
     case rw::ServiceKind::SpRead:
       svc_sp_read(svc_table_[idx], ret);
@@ -479,25 +483,53 @@ bool Kernel::reserved_port_access(uint16_t addr, uint8_t& value, bool write,
 void Kernel::svc_push_pop(const CompiledSvc& cs, uint16_t ret) {
   Task& t = current();
   m_.set_pc(ret);
-
-  // A collapsed stack run executes all of its members inside the leader's
-  // trap, applying the *identical* per-member headroom check, relocation
-  // request and kill condition that separate PUSH/POP services would — so
-  // the machine-state and relocation trajectories are the same whether
-  // collapsing is on or off; only the cycle charge (and trap count) shrink.
   const int members = 1 + cs.run_n;
-  for (int i = 0; i < members; ++i) {
+
+  // One check for the whole collapsed run: pushes only descend, so when the
+  // last member keeps the red-zone margin every earlier one does; pops only
+  // ascend, so when the last member does not underflow no earlier one does.
+  // The run then copies straight through.
+  const uint16_t sp0 = m_.mem().sp();
+  if (cs.is_push ? int(sp0) - (members - 1) >=
+                       int(run_.xc->p_h) + int(cfg_.stack_margin)
+                 : int(sp0) + members < int(t.p_u)) {
+    for (int i = 0; i < members; ++i) {
+      const uint8_t rd = i == 0 ? cs.rd : cs.run_rd[i - 1];
+      if (cs.is_push) {
+        const auto sp = static_cast<uint16_t>(sp0 - i);
+        m_.mem().set_raw(sp, m_.mem().reg(rd));
+        const auto depth = static_cast<uint16_t>(t.p_u - sp);
+        if (depth > t.peak_stack_used) t.peak_stack_used = depth;
+      } else {
+        const auto at = static_cast<uint16_t>(sp0 + 1 + i);
+        m_.mem().set_reg(rd, m_.mem().raw(at));
+      }
+    }
+    m_.mem().set_sp(static_cast<uint16_t>(cs.is_push ? sp0 - members
+                                                     : sp0 + members));
+  } else if (!push_pop_each(cs, t)) {
+    context_switch(ret, false);
+    return;
+  }
+  // Each follower's placeholder NOP pays 1 cycle natively; the leader
+  // charges the rest of the per-member run cost.
+  stats_.stack_run_members += cs.run_n;
+  charge_op(cfg_.costs.stack_pushpop +
+            uint32_t(cs.run_n) * (cfg_.costs.stack_run_member - 1));
+}
+
+bool Kernel::push_pop_each(const CompiledSvc& cs, Task& t) {
+  // The per-member headroom check, relocation request and kill condition
+  // that separate PUSH/POP services would apply, so machine state and the
+  // relocation trajectory match collapsing off exactly.
+  for (int i = 0; i <= cs.run_n; ++i) {
     const uint8_t rd = i == 0 ? cs.rd : cs.run_rd[i - 1];
     uint16_t sp = m_.mem().sp();
     if (cs.is_push) {
-      // Fast headroom check with the cached region bound; only a relocation
-      // (which moves SP) drops to the slow path, so SP is re-read after it.
-      const uint16_t p_h = xc_[current_].p_h;
+      // A relocation moves SP, so SP is re-read after it.
+      const uint16_t p_h = run_.xc->p_h;
       if (sp < p_h || static_cast<uint16_t>(sp - p_h) < cfg_.stack_margin) {
-        if (!ensure_stack_slow(1)) {
-          context_switch(ret, false);
-          return;
-        }
+        if (!ensure_stack_slow(1)) return false;
         sp = m_.mem().sp();
       }
       m_.mem().set_raw(sp, m_.mem().reg(rd));
@@ -507,48 +539,40 @@ void Kernel::svc_push_pop(const CompiledSvc& cs, uint16_t ret) {
     } else {  // Pop
       if (sp + 1 >= t.p_u) {
         kill_task(t, KillReason::InvalidAccess);  // stack underflow
-        context_switch(ret, false);
-        return;
+        return false;
       }
       m_.mem().set_reg(rd, m_.mem().raw(static_cast<uint16_t>(sp + 1)));
       m_.mem().set_sp(static_cast<uint16_t>(sp + 1));
     }
   }
-  // Each follower's placeholder NOP pays 1 cycle natively; the leader
-  // charges the rest of the per-member run cost.
-  stats_.stack_run_members += cs.run_n;
-  charge_op(cfg_.costs.stack_pushpop +
-            uint32_t(cs.run_n) * (cfg_.costs.stack_run_member - 1));
+  return true;
 }
 
-void Kernel::svc_call_enter(const rw::Service& svc, uint16_t ret) {
+void Kernel::svc_call_enter(uint32_t idx, const rw::Service& svc,
+                            uint16_t ret) {
   Task& t = current();
-  const isa::Instruction& ins = svc.original;
-  const rw::ProgramInfo& prog = prog_of(t);
 
   if (!ensure_stack(2)) {
     context_switch(ret, false);
     return;
   }
 
-  uint32_t target_nat = 0;
-  if (ins.op == Op::Call) {
-    target_nat = prog.map.to_naturalized(static_cast<uint32_t>(ins.k));
-  } else if (ins.op == Op::Rcall) {
-    const uint32_t orig_next = prog.map.to_original(ret);
-    target_nat =
-        prog.map.to_naturalized(static_cast<uint32_t>(orig_next + ins.k));
-  } else {  // Icall: the task computed an *original* program address
-    const uint16_t z = m_.mem().reg_pair(30);
-    if (z >= prog.map.to_original(prog.base + prog.nat_words)) {
-      m_.set_pc(ret);
-      kill_task(t, KillReason::BadJump);
-      context_switch(ret, false);
-      return;
-    }
-    target_nat = prog.map.to_naturalized(z);
-    m_.charge(cfg_.costs.prog_mem);
+  // An ICALL's target is the *original* program address the task computed
+  // in Z; a CALL's or RCALL's is fixed by the site.
+  const bool icall = svc.original.op == Op::Icall;
+  uint32_t target_nat = rw::kBadTarget;
+  if (!icall) {
+    target_nat = relay_target(idx, svc, ret);
+  } else if (const uint16_t z = m_.mem().reg_pair(30); z < run_.orig_words) {
+    target_nat = run_.prog->map.to_naturalized(z);
   }
+  if (target_nat == rw::kBadTarget) {
+    m_.set_pc(ret);
+    kill_task(t, KillReason::BadJump);
+    context_switch(ret, false);
+    return;
+  }
+  if (icall) m_.charge(cfg_.costs.prog_mem);
 
   m_.push16(ret);  // the naturalized return address
   note_stack_depth(t);
@@ -558,7 +582,6 @@ void Kernel::svc_call_enter(const rw::Service& svc, uint16_t ret) {
 
 void Kernel::svc_return(const rw::Service&, uint16_t ret) {
   Task& t = current();
-  const rw::ProgramInfo& prog = prog_of(t);
 
   if (m_.mem().sp() + 2 >= t.p_u) {
     m_.set_pc(ret);
@@ -567,7 +590,7 @@ void Kernel::svc_return(const rw::Service&, uint16_t ret) {
     return;
   }
   const uint16_t target = m_.pop16();
-  if (target < prog.base || target >= prog.base + prog.nat_words) {
+  if (target < run_.base || target >= run_.base + run_.nat_words) {
     kill_task(t, KillReason::BadJump);  // smashed stack
     context_switch(ret, false);
     return;
@@ -578,36 +601,24 @@ void Kernel::svc_return(const rw::Service&, uint16_t ret) {
 
 void Kernel::svc_indirect_jump(const rw::Service&, uint16_t ret) {
   Task& t = current();
-  const rw::ProgramInfo& prog = prog_of(t);
   const uint16_t z = m_.mem().reg_pair(30);
-  if (z >= prog.map.to_original(prog.base + prog.nat_words)) {
+  if (z >= run_.orig_words) {
     m_.set_pc(ret);
     kill_task(t, KillReason::BadJump);
     context_switch(ret, false);
     return;
   }
-  const uint32_t target = prog.map.to_naturalized(z);
+  const uint32_t target = run_.prog->map.to_naturalized(z);
   m_.set_pc(target);
   charge_op(cfg_.costs.prog_mem);
   trap_tick(target);  // an indirect jump may close a loop
 }
 
-void Kernel::svc_branch(const rw::Service& svc, uint16_t ret, bool backward) {
-  Task& t = current();
-  const isa::Instruction& ins = svc.original;
-  const rw::ProgramInfo& prog = prog_of(t);
-
-  bool taken = true;
-  if (ins.op == Op::Brbs)
-    taken = (m_.mem().sreg() >> ins.b) & 1;
-  else if (ins.op == Op::Brbc)
-    taken = !((m_.mem().sreg() >> ins.b) & 1);
-
-  uint32_t pc = ret;
-  if (taken) {
-    const uint32_t orig_next = prog.map.to_original(ret);
-    pc = prog.map.to_naturalized(static_cast<uint32_t>(orig_next + ins.k));
-  }
+void Kernel::svc_branch(uint32_t idx, const CompiledSvc& cs, uint16_t ret) {
+  const bool backward = cs.kind == rw::ServiceKind::BackwardBranch;
+  const bool taken =
+      cs.br_always || (((m_.mem().sreg() >> cs.br_bit) & 1) != 0) == cs.br_set;
+  const uint32_t pc = taken ? relay_target(idx, svc_table_[idx], ret) : ret;
   m_.set_pc(pc);
   charge_op(backward ? cfg_.costs.trap_fast : cfg_.costs.fwd_branch);
   if (backward) trap_tick(pc);
@@ -667,18 +678,17 @@ void Kernel::svc_sp_write(const rw::Service& svc, uint16_t ret) {
 
 void Kernel::svc_lpm(const rw::Service& svc, uint16_t ret) {
   Task& t = current();
-  const rw::ProgramInfo& prog = prog_of(t);
   const isa::Instruction& ins = svc.original;
   const uint16_t z = m_.mem().reg_pair(30);  // original flash *byte* address
   const uint32_t orig_word = z >> 1;
 
   m_.set_pc(ret);
-  if (orig_word >= prog.map.to_original(prog.base + prog.nat_words)) {
+  if (orig_word >= run_.orig_words) {
     kill_task(t, KillReason::BadJump);
     context_switch(ret, false);
     return;
   }
-  const uint32_t nat_word = prog.map.to_naturalized(orig_word);
+  const uint32_t nat_word = run_.prog->map.to_naturalized(orig_word);
   const uint8_t byte = m_.flash_byte(nat_word * 2 + (z & 1));
   m_.mem().set_reg(ins.op == Op::LpmR0 ? 0 : ins.rd, byte);
   if (ins.op == Op::LpmInc)

@@ -316,6 +316,11 @@ class Kernel {
     bool is_push = false;
     uint8_t run_n = 0;        // collapsed stack-run followers (0..3)
     uint8_t run_rd[3] = {0, 0, 0};  // their registers, in run order
+    // Branch relays: taken when SREG bit `br_bit` equals `br_set`, or
+    // always (RJMP) when `br_always`.
+    bool br_always = true;
+    bool br_set = false;
+    uint8_t br_bit = 0;
   };
 
   // Cost tier of an indirect memory service: the full translate-and-check,
@@ -328,14 +333,26 @@ class Kernel {
   void svc_mem_direct(const rw::Service& svc, uint16_t ret, bool fast);
   void svc_reserved_direct(const rw::Service& svc, uint16_t ret);
   void svc_push_pop(const CompiledSvc& cs, uint16_t ret);
-  void svc_call_enter(const rw::Service& svc, uint16_t ret);
+  // A stack run's members one by one, for a run that relocates or faults
+  // part-way. Returns false if the task was killed.
+  bool push_pop_each(const CompiledSvc& cs, Task& t);
+  void svc_call_enter(uint32_t idx, const rw::Service& svc, uint16_t ret);
   void svc_return(const rw::Service& svc, uint16_t ret);
   void svc_indirect_jump(const rw::Service& svc, uint16_t ret);
-  void svc_branch(const rw::Service& svc, uint16_t ret, bool backward);
+  void svc_branch(uint32_t idx, const CompiledSvc& cs, uint16_t ret);
   void svc_sp_read(const rw::Service& svc, uint16_t ret);
   void svc_sp_write(const rw::Service& svc, uint16_t ret);
   void svc_lpm(const rw::Service& svc, uint16_t ret);
   void svc_sleep(uint16_t ret);
+
+  // Taken target of relay service `idx` entered from `ret` in the running
+  // task: the site-table entry when it was filled for this very service,
+  // else the shift-table formula (a forged `ret` gets the formula's answer).
+  uint32_t relay_target(uint32_t idx, const rw::Service& svc,
+                        uint16_t ret) const {
+    if (const rw::SiteTarget* s = run_.prog->site(ret, idx)) return s->target;
+    return rw::relay_target(run_.prog->map, run_.orig_words, svc, ret);
+  }
 
   // Reserved-port virtualization shared by direct and indirect paths.
   // Returns true if `addr` is handled (reserved); `value` is in/out.
@@ -372,7 +389,7 @@ class Kernel {
   // (enough headroom, no map lookup, no sp_of indirection).
   bool ensure_stack(uint16_t needed) {
     const uint16_t sp = m_.mem().sp();  // current task is Running: live SP
-    const XlateCache& c = xc_[current_];
+    const XlateCache& c = *run_.xc;
     if (sp >= c.p_h &&
         uint32_t(sp - c.p_h) + 1 >= uint32_t(needed) + cfg_.stack_margin)
       return true;
@@ -437,7 +454,13 @@ class Kernel {
   void sample_alloc();
 
   // --- Scheduling (scheduler.cpp) --------------------------------------------
-  void trap_tick(uint32_t resume_pc);
+  // Count one software trap; every trap_interval-th runs the slice check.
+  // Inline: a backward-branch relay pays only the counter on its way out.
+  void trap_tick(uint32_t resume_pc) {
+    ++stats_.traps;
+    if (++trap_counter_ >= cfg_.trap_interval) slice_check(resume_pc);
+  }
+  void slice_check(uint32_t resume_pc);
   void context_switch(uint32_t resume_pc, bool block_current);
   void save_context(Task& t, uint32_t pc);
   void restore_context(Task& t);
@@ -445,8 +468,10 @@ class Kernel {
   void wake_due_tasks();
   void idle_until_wake();
   void account_current();
+  // Bind run_ to tasks_[current_]; called wherever current_ changes.
+  void bind_current();
 
-  Task& current() { return tasks_[current_]; }
+  Task& current() { return *run_.task; }
   void emit(EventKind kind, uint16_t a, uint16_t b = 0) {
     if (trace_ != nullptr) trace_->record(m_.cycles(), kind, a, b);
   }
@@ -479,6 +504,18 @@ class Kernel {
   const rw::Service* svc_table_ = nullptr;
   uint32_t n_services_ = 0;
   size_t current_ = 0;
+  // The running task's hot context, bound by bind_current() so a service
+  // trap reads it from `this` instead of chasing tasks_, sys_->programs
+  // and xc_ (DESIGN.md §6c). Valid from start() on.
+  struct RunCtx {
+    Task* task = nullptr;
+    const rw::ProgramInfo* prog = nullptr;  // shift and site tables
+    uint32_t base = 0;        // first naturalized code word
+    uint32_t nat_words = 0;   // naturalized code length
+    uint32_t orig_words = 0;  // bound on original control targets
+    XlateCache* xc = nullptr;  // the task's xc_ row
+  };
+  RunCtx run_;
   bool started_ = false;
   uint16_t kernel_base_ = 0;  // first byte of the kernel data area
   uint16_t trap_counter_ = 0;

@@ -15,9 +15,18 @@ void Kernel::account_current() {
   account_mark_ = m_.cycles();
 }
 
-void Kernel::trap_tick(uint32_t resume_pc) {
-  ++stats_.traps;
-  if (++trap_counter_ < cfg_.trap_interval) return;
+void Kernel::bind_current() {
+  Task& t = tasks_[current_];
+  const rw::ProgramInfo& prog = prog_of(t);
+  run_.task = &t;
+  run_.prog = &prog;
+  run_.base = prog.base;
+  run_.nat_words = prog.nat_words;
+  run_.orig_words = prog.orig_words();
+  run_.xc = &xc_[current_];
+}
+
+void Kernel::slice_check(uint32_t resume_pc) {
   trap_counter_ = 0;
   ++stats_.trap_checks;
   m_.charge(cfg_.costs.trap_check);
@@ -129,6 +138,7 @@ void Kernel::context_switch(uint32_t resume_pc, bool block_current) {
 
   const uint16_t from = cur.id;
   current_ = *next;
+  bind_current();
   Task& nt = current();
   nt.state = TaskState::Running;
   restore_context(nt);

@@ -395,12 +395,12 @@ void NetSim::set_fault_policy(FaultPolicy p) {
 
 void NetSim::record(uint64_t cycle, uint8_t node, NetEventKind kind,
                     uint32_t a, uint32_t b) {
-  trace_digest_ = fnv1a_step(trace_digest_, cycle);
-  trace_digest_ = fnv1a_step(trace_digest_, node);
-  trace_digest_ =
-      fnv1a_step(trace_digest_, static_cast<uint64_t>(kind));
-  trace_digest_ = fnv1a_step(trace_digest_, a);
-  trace_digest_ = fnv1a_step(trace_digest_, b);
+  trace_digest_ = fnv1a_step_typed(trace_digest_, cycle);
+  trace_digest_ = fnv1a_step_typed(trace_digest_, node);
+  trace_digest_ = fnv1a_step_typed(
+      trace_digest_, static_cast<std::underlying_type_t<NetEventKind>>(kind));
+  trace_digest_ = fnv1a_step_typed(trace_digest_, a);
+  trace_digest_ = fnv1a_step_typed(trace_digest_, b);
   ++trace_count_;
   if (trace_.size() < kTraceCapacity)
     trace_.push_back({cycle, node, kind, a, b});

@@ -21,8 +21,10 @@
 // run never shares state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "emu/machine.hpp"
@@ -605,6 +607,26 @@ inline uint64_t fnv1a_step(uint64_t h, uint64_t v) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+// fnv1a_step for a value of unsigned type T, with the same result. The
+// bytes above sizeof(T) are zero by type, and FNV-1a on a zero byte is a
+// bare multiply by the prime, so they fold into one multiply by
+// prime^(8 - sizeof(T)).
+template <typename T>
+inline uint64_t fnv1a_step_typed(uint64_t h, T v) {
+  static_assert(std::is_unsigned_v<T> && sizeof(T) <= 8);
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
+  constexpr uint64_t kZeroBytes = [] {
+    uint64_t p = 1;
+    for (size_t i = sizeof(T); i < 8; ++i) p *= kPrime;
+    return p;
+  }();
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    h ^= (uint64_t(v) >> (8 * i)) & 0xFF;
+    h *= kPrime;
+  }
+  return sizeof(T) < 8 ? h * kZeroBytes : h;
 }
 
 }  // namespace sensmart::net

@@ -7,6 +7,34 @@
 
 namespace sensmart::rw {
 
+namespace {
+
+bool is_relay(const Service& svc) {
+  switch (svc.kind) {
+    case ServiceKind::BackwardBranch:
+    case ServiceKind::ForwardBranch:
+      return true;
+    case ServiceKind::CallEnter:
+      return svc.original.op != isa::Op::Icall;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+uint32_t relay_target(const AddressMap& map, uint32_t orig_words,
+                      const Service& svc, uint32_t ret) {
+  const isa::Instruction& ins = svc.original;
+  const uint32_t orig =
+      ins.op == isa::Op::Call
+          ? static_cast<uint32_t>(ins.k)
+          : map.to_original(ret) + static_cast<uint32_t>(ins.k);
+  if (svc.kind == ServiceKind::CallEnter && orig >= orig_words)
+    return kBadTarget;
+  return map.to_naturalized(orig);
+}
+
 uint32_t scaled_body_words(ServiceKind kind, double scale) {
   return static_cast<uint32_t>(std::lround(std::ceil(body_words(kind) * scale)));
 }
@@ -98,6 +126,16 @@ LinkedSystem Linker::link() {
     info.rewritten_bytes = uint32_t(p.code.size()) * 2;
     info.shift_table_bytes = p.shift_entries * 2;
     info.patched_sites = p.patched_sites;
+
+    info.sites.resize(info.nat_words + 1);
+    const uint32_t orig_words = info.orig_words();
+    for (const auto& cs : p.callsites) {
+      const Service& svc = sys.services[cs.service];
+      if (!is_relay(svc)) continue;
+      const uint32_t at = cs.code_index + 2;
+      info.sites[at] = {cs.service + 1, relay_target(info.map, orig_words,
+                                                     svc, info.base + at)};
+    }
 
     uint32_t tw = 0;
     for (const auto& cs : p.callsites) {

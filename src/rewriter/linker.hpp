@@ -15,6 +15,28 @@ namespace sensmart::rw {
 
 inline constexpr uint32_t kAppBase = 16;
 
+// A relay is a trampolined site whose taken target is fixed by the site
+// itself: a relative branch (backward, or forward relaxed out of range),
+// an RCALL or a CALL. Its target is resolved once, at link time, into the
+// program's site table instead of by the shift-table formula per trap.
+//
+// The shift-table formula for relay `svc` entered from return address
+// `ret` (the word after its trampoline CALL): original-address arithmetic
+// on `map`, translated back to a naturalized word address. A CALL or RCALL
+// whose original target is at or past `orig_words` leaves the program and
+// gives kBadTarget; branch targets are not bounded.
+inline constexpr uint32_t kBadTarget = UINT32_MAX;
+uint32_t relay_target(const AddressMap& map, uint32_t orig_words,
+                      const Service& svc, uint32_t ret);
+
+// One entry of a program's site table. `service` is the index of the relay
+// service whose trampoline CALL returns to this word, plus one (0: no relay
+// returns here); `target` is relay_target() for that site.
+struct SiteTarget {
+  uint32_t service = 0;
+  uint32_t target = 0;
+};
+
 struct ProgramInfo {
   std::string name;
   uint32_t base = 0;        // first word of the naturalized code
@@ -30,6 +52,24 @@ struct ProgramInfo {
   uint32_t shift_table_bytes = 0;
   uint32_t trampoline_bytes = 0;  // distinct trampolines this program uses
   uint32_t patched_sites = 0;
+
+  // Link-time relay targets, indexed by ret - base: nat_words + 1 entries
+  // (a trampoline CALL in the last two words returns to base + nat_words).
+  // Empty for a system rebuilt from serialized bytes, whose relays then
+  // all take the formula.
+  std::vector<SiteTarget> sites;
+
+  // The site-table entry for relay service `service` returning to `ret`,
+  // or nullptr when none was filled for that pair: `ret` outside the
+  // program, on a word no relay returns to, or paired with another service.
+  const SiteTarget* site(uint32_t ret, uint32_t service) const {
+    const uint32_t at = ret - base;
+    return at < sites.size() && sites[at].service == service + 1 ? &sites[at]
+                                                                 : nullptr;
+  }
+
+  // Original words of the program: the bound on original control targets.
+  uint32_t orig_words() const { return map.to_original(base + nat_words); }
 
   double inflation() const {
     return double(rewritten_bytes + shift_table_bytes + trampoline_bytes) /

@@ -16,13 +16,11 @@ namespace {
 // Shared by run_system and the per-node phase of run_network: admit every
 // program, start, run to the budget, and collect the result.
 SystemRun run_kernel_to_completion(emu::Machine& m, kern::Kernel& k,
-                                   const rw::LinkedSystem& sys,
                                    uint64_t max_cycles,
                                    kern::KernelTrace* trace) {
   if (trace != nullptr) k.set_trace(trace);
   SystemRun r;
   r.admitted = k.admit_all();
-  r.programs = sys.programs;
   if (r.admitted == 0 || !k.start()) {
     r.stop = emu::StopReason::Halted;
     r.tasks = k.tasks();
@@ -51,7 +49,7 @@ SystemRun run_system(const std::vector<assembler::Image>& images,
 
   emu::Machine m;
   kern::Kernel k(m, sys, spec.kernel);
-  return run_kernel_to_completion(m, k, sys, spec.max_cycles, spec.trace);
+  return run_kernel_to_completion(m, k, spec.max_cycles, spec.trace);
 }
 
 NetworkRun run_network(const std::vector<assembler::Image>& images,
@@ -128,15 +126,13 @@ NetworkRun run_network(const std::vector<assembler::Image>& images,
       nr.install = k.install_info();
       nr.installed = true;
       if (spec.run_kernels)
-        nr.run = run_kernel_to_completion(m, k, k.system(), spec.run_cycles,
-                                          nullptr);
+        nr.run = run_kernel_to_completion(m, k, spec.run_cycles, nullptr);
     } else {
       kern::Kernel k(m, std::move(*received), spec.kernel, info);
       nr.install = k.install_info();
       nr.installed = true;
       if (spec.run_kernels)
-        nr.run = run_kernel_to_completion(m, k, k.system(), spec.run_cycles,
-                                          nullptr);
+        nr.run = run_kernel_to_completion(m, k, spec.run_cycles, nullptr);
     }
   }
   return out;
@@ -163,7 +159,7 @@ RolloutRun run_rollout(const std::vector<assembler::Image>& images,
     emu::Machine m;
     kern::Kernel k(m, new_sys, spec.kernel);
     SystemRun probe =
-        run_kernel_to_completion(m, k, new_sys, spec.probe_cycles, nullptr);
+        run_kernel_to_completion(m, k, spec.probe_cycles, nullptr);
     const emu::HealthCounters& h = m.dev().health();
     out.probed.restarts = h.restarts;
     out.probed.quarantines = h.quarantines;

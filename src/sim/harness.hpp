@@ -24,7 +24,6 @@ struct SystemRun {
   kern::KernelStats kernel_stats;
   double avg_stack_alloc = 0;  // time-averaged bytes per live task
   std::vector<kern::Task> tasks;               // final task states
-  std::vector<rw::ProgramInfo> programs;       // inflation accounting
   size_t admitted = 0;
   // Auditor output (populated when KernelConfig::audit is set).
   std::vector<std::string> audit_log;          // violation descriptions

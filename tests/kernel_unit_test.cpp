@@ -253,6 +253,58 @@ TEST(Faults, IndirectJumpOutsideProgramIsCaught) {
   EXPECT_EQ(w.k->tasks()[0].kill_reason, KillReason::BadJump);
 }
 
+// CALL and RCALL targets are bounded like ICALL's: an original target at
+// or past the program's end kills the task instead of leaving its code
+// (into the next program, the trampolines or unprogrammed flash).
+void expect_call_caught(const isa::Instruction& call, const char* what) {
+  Assembler a("badcall");
+  a.emit(call);
+  a.halt(1);
+  World w({a.finish(), trivial_program(8)});
+  w.k->admit_all();
+  ASSERT_TRUE(w.k->start());
+  ASSERT_EQ(w.k->run(1'000'000), emu::StopReason::Halted) << what;
+  EXPECT_EQ(w.k->tasks()[0].state, TaskState::Killed) << what;
+  EXPECT_EQ(w.k->tasks()[0].kill_reason, KillReason::BadJump) << what;
+  EXPECT_EQ(w.k->tasks()[1].state, TaskState::Done) << what;
+}
+
+isa::Instruction call_to(isa::Op op, int32_t k) {
+  isa::Instruction i;
+  i.op = op;
+  i.k = k;
+  return i;
+}
+
+TEST(Faults, CallOutsideProgramIsCaught) {
+  // The program is CALL (2 words) + halt (LDI + STS, 3 words): 5 words.
+  expect_call_caught(call_to(isa::Op::Call, 0x3FFFFF), "CALL 0x3FFFFF");
+  expect_call_caught(call_to(isa::Op::Call, 5), "CALL one past the end");
+}
+
+TEST(Faults, RelativeCallOutsideProgramIsCaught) {
+  // RCALL k lands on 1 + k: the 4-word program ends at 4, and -2 lands
+  // before its first word.
+  expect_call_caught(call_to(isa::Op::Rcall, 3), "RCALL one past the end");
+  expect_call_caught(call_to(isa::Op::Rcall, 1000), "RCALL far past the end");
+  expect_call_caught(call_to(isa::Op::Rcall, -2), "RCALL before the start");
+}
+
+TEST(Faults, CallToTheLastWordIsNotCaught) {
+  // The bound is exact: a CALL to the program's last instruction (the
+  // STS at word 3 of 5) runs, skipping the LDI, so the task exits with 0.
+  Assembler a("lastcall");
+  a.emit(call_to(isa::Op::Call, 3));
+  a.ldi(16, 7);
+  a.sts(emu::kHostHalt, 16);
+  World w({a.finish()});
+  w.k->admit_all();
+  ASSERT_TRUE(w.k->start());
+  ASSERT_EQ(w.k->run(1'000'000), emu::StopReason::Halted);
+  EXPECT_EQ(w.k->tasks()[0].state, TaskState::Done);
+  EXPECT_EQ(w.k->tasks()[0].exit_code, 0);
+}
+
 // Regression: a grouped-access window whose start address wraps past
 // 0xFFFF (base + group_min > 0xFFFF) used to be truncated back into low
 // memory, alias the I/O page, and pass the leader's window validation.

@@ -1,7 +1,8 @@
 // Naturalization set-up pins: the linked output of a seeded corpus of image
 // sets (whole-system digests under the four rewrite configurations), the
-// rewriter's error paths for malformed control targets, and the emulator's
-// "not yet decoded" decode-cache state.
+// rewriter's error paths for malformed control targets, the emulator's
+// "not yet decoded" decode-cache state, and the link-time relay targets
+// (site tables) of the same corpus.
 //
 // These are the contract a set-up optimization must keep: the flash image,
 // the trampoline pool and every program's placement and shift table are
@@ -21,11 +22,13 @@
 #include "apps/benchmarks.hpp"
 #include "apps/periodic_task.hpp"
 #include "apps/treesearch.hpp"
+#include "assembler/assembler.hpp"
 #include "chaos/adversarial.hpp"
 #include "chaos/prng.hpp"
 #include "emu/machine.hpp"
 #include "isa/codec.hpp"
 #include "rewriter/linker.hpp"
+#include "rewriter/rewriter.hpp"
 #include "rewriter/tkernel.hpp"
 
 namespace sensmart {
@@ -387,6 +390,159 @@ TEST(DecodeCache, ReloadBesideUndecodedEntriesMatchesFreshMachine) {
   EXPECT_EQ(m.pc(), fresh.pc());
   EXPECT_EQ(m.mem().reg(18), 3);
   EXPECT_EQ(m.mem().reg(17), 2);
+}
+
+// --- Link-time relay targets (site table) -------------------------------------
+
+// The relay-target formula, written out apart from rw::relay_target: the
+// shift table's original-address arithmetic, with CALL/RCALL targets
+// bounded by the program's original length.
+uint32_t formula_target(const rw::ProgramInfo& p, const rw::Service& svc,
+                        uint32_t ret) {
+  const Instruction& ins = svc.original;
+  const uint32_t orig = ins.op == Op::Call
+                            ? static_cast<uint32_t>(ins.k)
+                            : p.map.to_original(ret) + uint32_t(ins.k);
+  if (svc.kind == rw::ServiceKind::CallEnter &&
+      orig >= p.map.to_original(p.base + p.nat_words))
+    return rw::kBadTarget;
+  return p.map.to_naturalized(orig);
+}
+
+bool relay_kind(const rw::Service& svc) {
+  return svc.kind == rw::ServiceKind::BackwardBranch ||
+         svc.kind == rw::ServiceKind::ForwardBranch ||
+         (svc.kind == rw::ServiceKind::CallEnter &&
+          (svc.original.op == Op::Rcall || svc.original.op == Op::Call));
+}
+
+// The relays the seeded corpus lacks: CALLs (one inside the program, one
+// past its end) and a forward branch relaxed out of range into a
+// trampoline by the indirect accesses it jumps over.
+Image relay_corners() {
+  assembler::Assembler a("relay-corners");
+  a.call("sub");
+  a.ldi16(26, 0x0100);
+  a.cpi(16, 3);
+  a.breq("far");
+  for (int i = 0; i < 40; ++i) a.ld_x(17);
+  a.label("far");
+  a.emit(mk(Op::Call, 0, 0, 0x3FFFFF));
+  a.halt(0);
+  a.label("sub");
+  a.ret();
+  return a.finish();
+}
+
+const LinkConfig kSiteConfigs[] = {
+    {"default", rw::RewriteOptions{}, true, 0},
+    {"paper", rw::paper_options(), true, 0},
+    {"tkernel", rw::tkernel_rewrite_options(), rw::kTKernelMerging, 0},
+    {"merging off", rw::RewriteOptions{}, false, 0},
+};
+
+// Every trampolined relative branch, RCALL and CALL site the rewriter
+// emits has a table entry naming its own service and holding the
+// formula's target, and no other word has an entry. The sites are
+// re-derived by rewriting each image again with a private pool, which
+// reproduces the linker's placement and service indices.
+TEST(SiteTargets, EveryRelaySiteHoldsTheFormulaTarget) {
+  std::vector<std::vector<Image>> sets = image_sets();
+  sets.push_back({relay_corners(), apps::crc_program(8)});
+  for (const LinkConfig& c : kSiteConfigs) {
+    // Relay sites seen: backward branches, forward branches, RCALLs, CALLs.
+    size_t relays[4] = {};
+    for (size_t si = 0; si < sets.size(); ++si) {
+      rw::Linker linker(c.opts, c.merge);
+      rw::ServicePool pool;
+      pool.set_merging(c.merge);
+      std::vector<rw::NaturalizedProgram> progs;
+      uint32_t cursor = rw::kAppBase;
+      for (const Image& img : sets[si]) {
+        linker.add(img);
+        progs.push_back(rw::rewrite(img, cursor, pool, c.opts));
+        cursor += uint32_t(progs.back().code.size()) +
+                  progs.back().shift_entries;
+      }
+      const rw::LinkedSystem sys = linker.link();
+      ASSERT_EQ(pool.services().size(), sys.services.size());
+      for (size_t pi = 0; pi < progs.size(); ++pi) {
+        const rw::ProgramInfo& p = sys.programs[pi];
+        ASSERT_EQ(p.sites.size(), size_t(p.nat_words) + 1);
+        std::vector<bool> expected(p.sites.size(), false);
+        for (const auto& cs : progs[pi].callsites) {
+          const rw::Service& svc = sys.services[cs.service];
+          if (!relay_kind(svc)) continue;
+          const uint32_t at = cs.code_index + 2;
+          expected[at] = true;
+          ++relays[svc.kind == rw::ServiceKind::BackwardBranch  ? 0
+                   : svc.kind == rw::ServiceKind::ForwardBranch ? 1
+                   : svc.original.op == Op::Rcall              ? 2
+                                                                : 3];
+          const rw::SiteTarget* e = p.site(p.base + at, cs.service);
+          ASSERT_NE(e, nullptr) << c.name << " set " << si << " prog " << pi
+                                << " word " << at;
+          EXPECT_EQ(e->target, formula_target(p, svc, p.base + at))
+              << c.name << " set " << si << " prog " << pi << " word " << at;
+        }
+        for (size_t at = 0; at < p.sites.size(); ++at) {
+          if (!expected[at]) {
+            EXPECT_EQ(p.sites[at].service, 0u)
+                << c.name << " set " << si << " prog " << pi << " word " << at;
+          }
+        }
+      }
+    }
+    for (const size_t n : relays) EXPECT_GT(n, 0u) << c.name;
+  }
+}
+
+// A return address the linker did not resolve misses the table, so the
+// kernel falls back to the formula and gets exactly its answer: outside
+// the program, on a word no relay returns to, or a real relay site paired
+// with another service's index.
+TEST(SiteTargets, ForgedReturnAddressesTakeTheFormula) {
+  const std::vector<std::vector<Image>> sets = image_sets();
+  for (const LinkConfig& c : kSiteConfigs) {
+    for (size_t si = 0; si < sets.size(); si += 8) {
+      rw::Linker linker(c.opts, c.merge);
+      for (const Image& img : sets[si]) linker.add(img);
+      const rw::LinkedSystem sys = linker.link();
+      std::vector<uint32_t> relay_services;
+      for (uint32_t i = 0; i < sys.services.size(); ++i)
+        if (relay_kind(sys.services[i])) relay_services.push_back(i);
+      ASSERT_FALSE(relay_services.empty());
+      for (const rw::ProgramInfo& p : sys.programs) {
+        const uint32_t outside[] = {0, p.base - 1, p.base + p.nat_words + 1,
+                                    p.base + p.nat_words + 2, 0xFFFF};
+        for (const uint32_t svc : relay_services) {
+          for (const uint32_t ret : outside) {
+            EXPECT_EQ(p.site(ret, svc), nullptr) << ret;
+            EXPECT_EQ(rw::relay_target(p.map, p.orig_words(),
+                                       sys.services[svc], ret),
+                      formula_target(p, sys.services[svc], ret));
+          }
+        }
+        for (uint32_t at = 0; at < p.sites.size(); ++at) {
+          const uint32_t ret = p.base + at;
+          const uint32_t own = p.sites[at].service;
+          for (const uint32_t svc : relay_services) {
+            if (own == svc + 1) continue;  // the real pairing
+            EXPECT_EQ(p.site(ret, svc), nullptr) << ret << " " << svc;
+          }
+          if (own == 0) continue;
+          // The real site with another relay's index: the formula's answer
+          // for that other relay, not this site's entry.
+          const uint32_t other = relay_services[(own + at) %
+                                                relay_services.size()];
+          if (other + 1 == own) continue;
+          EXPECT_EQ(rw::relay_target(p.map, p.orig_words(),
+                                     sys.services[other], ret),
+                    formula_target(p, sys.services[other], ret));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
