@@ -386,6 +386,10 @@ NetChaosResult run_net_chaos(const NetChaosOptions& opts) {
       v.events = v.dissem.trace_events;
     }
     if (hostile && first_run) res.hostile_frames = attacker.frames_emitted();
+    if (first_run)
+      for (size_t id = 1; id <= cfg.nodes; ++id)
+        if (!hostile || id != adv_node)
+          res.honest_rx_overruns += sim.rx_overruns_up(id);
     // Blob equality is checked inside the closure (NetSim owns the
     // per-node stores), violations recorded on the shared result.
     for (size_t id = 1; id <= cfg.nodes; ++id) {

@@ -84,6 +84,10 @@ struct NetChaosResult {
   uint64_t hostile_frames = 0;  // attack frames the hostile node injected
   uint64_t auth_rejects = 0;    // forged images killed at the MAC gate
   uint64_t frames_squelched = 0;  // liveness-flood frames the base ignored
+  // Received bytes the honest receivers' radios lost to a full receive
+  // buffer while up, in the first run (NetSim::rx_overruns_up; the
+  // hostile node's own radio not counted).
+  uint64_t honest_rx_overruns = 0;
   // Lemon-rollout dimension (DESIGN.md §12): this seed continued past
   // dissemination into a health-gated staged rollout with 1-2 seeded lemon
   // images (runaway / crash-boot / wedge trials), under authentication.

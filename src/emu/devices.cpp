@@ -182,6 +182,25 @@ std::optional<uint64_t> DeviceHub::rx_arrival(size_t k) const {
   return std::nullopt;
 }
 
+std::optional<uint8_t> DeviceHub::peek_unread(size_t i) const {
+  if (i < rx_avail_bytes_) {
+    for (size_t k = 0;; ++k) {
+      const RxRun& r = rx_runs_[(rx_runs_head_ + k) % kRxBufferCap];
+      if (i < r.length) return r.packet->bytes[r.offset + i];
+      i -= r.length;
+    }
+  }
+  i -= rx_avail_bytes_;
+  size_t cursor = rx_cursor_;
+  for (const RxPacket& p : rx_pending_) {
+    const size_t left = p.packet->bytes.size() - cursor;
+    if (i < left) return p.packet->bytes[cursor + i];
+    i -= left;
+    cursor = 0;
+  }
+  return std::nullopt;
+}
+
 void DeviceHub::io_access(uint16_t addr, uint8_t& value, bool write) {
   sync(now_);
   // Reads observe the device-maintained register contents after the sync;

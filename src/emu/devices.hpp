@@ -241,6 +241,10 @@ class DeviceHub {
   // between. Bytes already readable report the current device time;
   // nullopt if fewer than k bytes are buffered or in flight.
   std::optional<uint64_t> rx_arrival(size_t k) const;
+  // The i-th (0-based) unread byte in the same order: buffered runs first,
+  // then deliveries in flight from the front packet's cursor on; nullopt
+  // past the last byte buffered or in flight.
+  std::optional<uint8_t> peek_unread(size_t i) const;
   // Completion cycle of the packet on the air, if one is transmitting.
   std::optional<uint64_t> tx_done_at() const { return radio_done_at_; }
 

@@ -196,8 +196,9 @@ const Frame* Deframer::next(Frame& scratch, emu::RadioPacketRef& owner) {
 
 size_t Deframer::need() const {
   if (ready_head_ < ready_.size()) return 0;
-  const uint8_t* p = partial_ ? partial_->bytes.data() : buf_.data() + head_;
-  const size_t avail = partial_ ? partial_have_ : buf_.size() - head_;
+  const std::span<const uint8_t> have = unparsed();
+  const uint8_t* p = have.data();
+  const size_t avail = have.size();
   if (avail == 0) return kFrameOverhead;
   if (p[0] != kFrameSync) return 0;
   if (avail < kFrameOverhead) return kFrameOverhead - avail;

@@ -101,6 +101,14 @@ class Deframer {
   // is empty, 0 when next() can already make progress. Never more than
   // kFrameOverhead + kMaxPayload.
   size_t need() const;
+  // need() looked ahead over the bytes still to come: `peek(i)` is the
+  // i-th byte after those pushed (a std::optional<uint8_t>, nullopt past
+  // the last one known). Returns the byte count at which need(), chained
+  // over those bytes, first reaches 0 — so a head candidate whose sync and
+  // length bytes are known waits for its last byte, not for its header —
+  // or need() itself when the known bytes run out first.
+  template <typename Peek>
+  size_t need(Peek&& peek) const;
 
   uint64_t crc_errors() const { return crc_errors_; }
   uint64_t skipped_bytes() const { return skipped_; }
@@ -108,6 +116,13 @@ class Deframer {
  private:
   // Copy the partial packet's bytes into buf_ (it stops being shared).
   void unshare();
+  // The unparsed bytes after the ready packets: the shared partial prefix
+  // or the copied buffer's tail.
+  std::span<const uint8_t> unparsed() const {
+    return partial_ ? std::span<const uint8_t>(partial_->bytes.data(),
+                                               partial_have_)
+                    : std::span<const uint8_t>(buf_).subspan(head_);
+  }
 
   // The unparsed stream is, in order: whole shared packets ready_[ready_head_,
   // end), then either the first partial_have_ bytes of the shared packet
@@ -122,6 +137,24 @@ class Deframer {
   uint64_t crc_errors_ = 0;
   uint64_t skipped_ = 0;
 };
+
+template <typename Peek>
+size_t Deframer::need(Peek&& peek) const {
+  const size_t k = need();
+  const std::span<const uint8_t> have = unparsed();
+  // Past the header, need() already counts to the candidate's end.
+  if (k == 0 || have.size() >= kFrameOverhead) return k;
+  const auto at = [&](size_t i) -> std::optional<uint8_t> {
+    return i < have.size() ? std::optional<uint8_t>(have[i])
+                           : peek(i - have.size());
+  };
+  // After k bytes the header is complete. Unless it opens a candidate of
+  // a valid length, next() can act there (skip, or resync on the length).
+  const std::optional<uint8_t> sync = at(0), len = at(5);
+  if (sync != kFrameSync || !len || *len > kMaxPayload) return k;
+  const size_t rest = kFrameOverhead + *len - have.size();
+  return peek(rest - 1) ? rest : k;
+}
 
 // --- Typed payloads ---------------------------------------------------------
 //

@@ -1,5 +1,6 @@
 #include "net/image_codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sensmart::net {
@@ -171,6 +172,30 @@ std::vector<uint8_t> serialize_system(const rw::LinkedSystem& sys) {
   return out;
 }
 
+namespace {
+
+// The site table is not on the wire, so it is rebuilt from the flash: a
+// trampoline call site is a CALL placeholder whose second word is a
+// service's address. Any other word pair that reads the same (data, the
+// operand of a two-word instruction) only adds an entry holding
+// rw::relay_target()'s value for its (service, ret), which is what the
+// kernel's fallback would compute for that pair anyway.
+void rebuild_sites(const rw::LinkedSystem& sys, rw::ProgramInfo& p) {
+  if (uint64_t(p.base) + p.nat_words > sys.flash.size()) return;
+  const auto addr = sys.service_addr.begin(), addr_end = sys.service_addr.end();
+  std::vector<rw::NaturalizedProgram::Callsite> calls;
+  for (uint32_t w = 0; w + 1 < p.nat_words; ++w) {
+    if (sys.flash[p.base + w] != rw::kTrampolineCall) continue;
+    const uint16_t target = sys.flash[p.base + w + 1];
+    const auto it = std::lower_bound(addr, addr_end, uint32_t(target));
+    if (it != addr_end && *it == target)
+      calls.push_back({w, static_cast<uint32_t>(it - addr)});
+  }
+  rw::fill_site_targets(p, sys.services, calls);
+}
+
+}  // namespace
+
 std::optional<rw::LinkedSystem> deserialize_system(
     std::span<const uint8_t> blob) {
   Reader r(blob);
@@ -246,6 +271,7 @@ std::optional<rw::LinkedSystem> deserialize_system(
   sys.tail_shared_words = r.u32();
 
   if (!r.done()) return std::nullopt;  // trailing garbage or truncation
+  for (rw::ProgramInfo& p : sys.programs) rebuild_sites(sys, p);
   return sys;
 }
 

@@ -88,8 +88,9 @@ void Medium::flush(uint64_t now) {
           observer_(a.tx_done, FaultAction::Collision, a.from, d.to);
         continue;
       }
-      devs_[d.to]->schedule_rx(d.corrupted ? d.corrupted : a.packet, a.at);
-      flushed_to_.push_back(d.to);
+      flushed_to_.push_back(
+          {d.to, devs_[d.to]->schedule_rx(
+                     d.corrupted ? d.corrupted : a.packet, a.at)});
     }
   }
   // Prune transmission-log entries far older than any delivery still in

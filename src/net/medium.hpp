@@ -146,8 +146,13 @@ class Medium {
   // quantum by the network simulator.
   void flush(uint64_t now);
   // Receivers the last flush() handed bytes to, in delivery order
-  // (repeats possible).
-  const std::vector<size_t>& flushed_to() const { return flushed_to_; }
+  // (repeats possible), each with the cycle its radio starts receiving
+  // them (DeviceHub::schedule_rx's answer).
+  struct Handoff {
+    size_t to;
+    uint64_t begin;
+  };
+  const std::vector<Handoff>& flushed_to() const { return flushed_to_; }
 
   const MediumStats& stats() const { return stats_; }
 
@@ -212,7 +217,7 @@ class Medium {
     uint64_t start, done;
   };
   std::deque<TxRec> txlog_;
-  std::vector<size_t> flushed_to_;
+  std::vector<Handoff> flushed_to_;
 };
 
 }  // namespace sensmart::net

@@ -218,6 +218,10 @@ struct NetSim::Node : NodeVolatile {
   // report its health without waiting for a Summary re-flood.
   uint16_t saved_hop = kNoHop;
   uint16_t saved_parent = kNoParent;
+  // The radio's overrun count at the last power-down, and the overruns it
+  // counted for bytes that landed while the node was down (rx_overruns_up).
+  uint64_t overruns_at_down = 0;
+  uint64_t overruns_while_down = 0;
   NodeDissemStats stats;
 };
 
@@ -1316,6 +1320,7 @@ void NetSim::power_down(Node& n, uint64_t now, uint64_t down_bytes) {
   n.early.clear();
   n.down = true;
   n.up_at = now + down_bytes * kByte;
+  n.overruns_at_down = machines_[n.id]->dev().rx_overruns();
   // While down the node neither hears nor is heard: both link directions
   // are forced into an outage window (consumes no medium randomness).
   out_.outages.push_back({kAnyNode, n.id, now, n.up_at});
@@ -1332,7 +1337,10 @@ void NetSim::node_lifecycle(Node& n, uint64_t now) {
     // volatile protocol state starts fresh (the mesh node rejoins the
     // flood from scratch), and the transfer resumes from the persisted
     // chunk bitmap (empty after a cold, store-wiping crash) against
-    // whichever neighbor answers first.
+    // whichever neighbor answers first. The radio is not synced while the
+    // node is down, so this quantum's sync counted every overrun of the
+    // outage.
+    n.overruns_while_down += dev.rx_overruns() - n.overruns_at_down;
     dev.flush_rx();
     static_cast<NodeVolatile&>(n) = NodeVolatile{};
     n.down = false;
@@ -1398,9 +1406,13 @@ void NetSim::node_lifecycle(Node& n, uint64_t now) {
 }
 
 // Cycle at which received bytes can next let the deframer decide its head
-// frame candidate (kNever if too few bytes are buffered or in flight).
+// frame candidate (kNever if too few bytes are buffered or in flight). The
+// deframer looks ahead over the bytes already scheduled, so a candidate
+// whose length byte is known is due at its last byte, not at its header.
 uint64_t NetSim::rx_ready_at(const Node& n) const {
-  const auto at = machines_[n.id]->dev().rx_arrival(n.deframer.need());
+  const emu::DeviceHub& dev = machines_[n.id]->dev();
+  const auto at = dev.rx_arrival(
+      n.deframer.need([&dev](size_t i) { return dev.peek_unread(i); }));
   return at ? *at : kNever;
 }
 
@@ -1493,11 +1505,15 @@ bool NetSim::run_loop() {
     // this quantum is consumable before the next — no node's step can
     // observe another's transmission of the same quantum).
     medium_.flush(t_);
-    // Fresh bytes can only bring a receiver's deframer deadline forward.
-    for (size_t to : medium_.flushed_to()) {
-      if (to == 0 || nodes_[to - 1]->down) continue;
-      const uint64_t at = quantum_at_or_after(rx_ready_at(*nodes_[to - 1]));
-      if (at < due_.wake(to - 1)) due_.set(to - 1, at);
+    // Fresh bytes can only bring a receiver's deframer deadline forward,
+    // and only if they start arriving before it: they queue behind every
+    // byte already scheduled, so a decision they complete comes later.
+    for (const Medium::Handoff& h : medium_.flushed_to()) {
+      if (h.to == 0 || nodes_[h.to - 1]->down) continue;
+      const uint64_t wake = due_.wake(h.to - 1);
+      if (quantum_at_or_after(h.begin + kByte) >= wake) continue;
+      const uint64_t at = quantum_at_or_after(rx_ready_at(*nodes_[h.to - 1]));
+      if (at < wake) due_.set(h.to - 1, at);
     }
     // Devices advance in machine-id order, so TX completions reach the
     // medium (and the trace) base first, then due receivers by id. Each
@@ -2108,6 +2124,13 @@ const std::vector<uint8_t>& NetSim::node_blob(size_t node) const {
   if (node == 0 || node > nodes_.size()) return kEmpty;
   const emu::ImageStore& st = machines_[node]->dev().image_store();
   return st.verified ? st.image : kEmpty;
+}
+
+uint64_t NetSim::rx_overruns_up(size_t node) const {
+  const Node& n = *nodes_.at(node - 1);
+  const uint64_t counted =
+      n.down ? n.overruns_at_down : machines_[node]->dev().rx_overruns();
+  return counted - n.overruns_while_down;
 }
 
 bool NetSim::node_complete(size_t node) const {

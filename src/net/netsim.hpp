@@ -434,6 +434,12 @@ class NetSim {
   // never observable here.
   const std::vector<uint8_t>& node_blob(size_t node) const;
   bool node_complete(size_t node) const;
+  // Received bytes receiver `node`'s radio lost to a full buffer while the
+  // node was up. Deliveries already in the air when it went down still
+  // land in its radio, and its first sync after power-up counts the
+  // excess as overruns too (rx_overruns() of the device); those are left
+  // out here.
+  uint64_t rx_overruns_up(size_t node) const;
   // The node's emulated machine (for installation and execution).
   emu::Machine& node_machine(size_t node);
 

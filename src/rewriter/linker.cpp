@@ -35,6 +35,20 @@ uint32_t relay_target(const AddressMap& map, uint32_t orig_words,
   return map.to_naturalized(orig);
 }
 
+void fill_site_targets(
+    ProgramInfo& info, std::span<const Service> services,
+    std::span<const NaturalizedProgram::Callsite> callsites) {
+  info.sites.assign(size_t(info.nat_words) + 1, SiteTarget{});
+  const uint32_t orig_words = info.orig_words();
+  for (const auto& cs : callsites) {
+    const Service& svc = services[cs.service];
+    if (!is_relay(svc)) continue;
+    const uint32_t at = cs.code_index + 2;
+    info.sites[at] = {cs.service + 1, relay_target(info.map, orig_words, svc,
+                                                   info.base + at)};
+  }
+}
+
 uint32_t scaled_body_words(ServiceKind kind, double scale) {
   return static_cast<uint32_t>(std::lround(std::ceil(body_words(kind) * scale)));
 }
@@ -127,15 +141,7 @@ LinkedSystem Linker::link() {
     info.shift_table_bytes = p.shift_entries * 2;
     info.patched_sites = p.patched_sites;
 
-    info.sites.resize(info.nat_words + 1);
-    const uint32_t orig_words = info.orig_words();
-    for (const auto& cs : p.callsites) {
-      const Service& svc = sys.services[cs.service];
-      if (!is_relay(svc)) continue;
-      const uint32_t at = cs.code_index + 2;
-      info.sites[at] = {cs.service + 1, relay_target(info.map, orig_words,
-                                                     svc, info.base + at)};
-    }
+    fill_site_targets(info, sys.services, p.callsites);
 
     uint32_t tw = 0;
     for (const auto& cs : p.callsites) {

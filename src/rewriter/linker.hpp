@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,9 +55,9 @@ struct ProgramInfo {
   uint32_t patched_sites = 0;
 
   // Link-time relay targets, indexed by ret - base: nat_words + 1 entries
-  // (a trampoline CALL in the last two words returns to base + nat_words).
-  // Empty for a system rebuilt from serialized bytes, whose relays then
-  // all take the formula.
+  // (a trampoline CALL in the last two words returns to base + nat_words),
+  // filled by fill_site_targets(). Not serialized: a system rebuilt from
+  // bytes rebuilds it from its flash (net::deserialize_system).
   std::vector<SiteTarget> sites;
 
   // The site-table entry for relay service `service` returning to `ret`,
@@ -76,6 +77,15 @@ struct ProgramInfo {
            double(native_bytes);
   }
 };
+
+// Size `info.sites` to the program and give every relay among `callsites`
+// (trampoline CALLs at program word code_index, to service index service)
+// its entry: the service index plus one and relay_target() for the word
+// the CALL returns to. Any other callsite is skipped. Every entry is
+// therefore the formula's own answer for its (service, ret) pair.
+void fill_site_targets(
+    ProgramInfo& info, std::span<const Service> services,
+    std::span<const NaturalizedProgram::Callsite> callsites);
 
 struct LinkedSystem {
   std::vector<uint16_t> flash;

@@ -230,7 +230,7 @@ NaturalizedProgram rewrite(const assembler::Image& img, uint32_t base,
   auto emit_call_placeholder = [&](const Service& svc) {
     const uint32_t idx = pool.intern(svc);
     out.callsites.push_back({uint32_t(out.code.size()), idx});
-    out.code.push_back(0x940E);  // CALL, target patched by the linker
+    out.code.push_back(kTrampolineCall);  // target patched by the linker
     out.code.push_back(0x0000);
     ++out.patched_sites;
   };

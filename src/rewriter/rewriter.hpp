@@ -68,6 +68,10 @@ struct RewriteOptions {
 // configuration carries the faster code generation.
 RewriteOptions paper_options();
 
+// First word of every trampoline call site: a two-word CALL whose second
+// word the linker sets to the service's flash address.
+inline constexpr uint16_t kTrampolineCall = 0x940E;
+
 struct NaturalizedProgram {
   std::string name;
   uint32_t base = 0;              // load base (flash word address)
@@ -76,8 +80,9 @@ struct NaturalizedProgram {
   uint16_t heap_size = 0;
   uint32_t entry_orig = 0;
 
-  // CALL/JMP placeholders that must be pointed at the trampoline region
-  // once the linker has placed it: code[index+1] = address_of(service).
+  // CALL placeholders (kTrampolineCall) that must be pointed at the
+  // trampoline region once the linker has placed it:
+  // code[index+1] = address_of(service).
   struct Callsite {
     uint32_t code_index;
     uint32_t service;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -27,6 +28,7 @@
 #include "chaos/prng.hpp"
 #include "emu/machine.hpp"
 #include "isa/codec.hpp"
+#include "net/image_codec.hpp"
 #include "rewriter/linker.hpp"
 #include "rewriter/rewriter.hpp"
 #include "rewriter/tkernel.hpp"
@@ -542,6 +544,51 @@ TEST(SiteTargets, ForgedReturnAddressesTakeTheFormula) {
         }
       }
     }
+  }
+}
+
+// The site table is not serialized: a system installed from its bytes
+// rebuilds it from its flash. Every relay site the linker filled holds the
+// linker's entry, and an entry anywhere else (a word pair that merely
+// reads like a trampoline CALL) is the formula's own answer for its pair.
+TEST(SiteTargets, InstalledSystemRebuildsTheLinkersTable) {
+  std::vector<std::vector<Image>> sets = image_sets();
+  sets.push_back({relay_corners(), apps::crc_program(8)});
+  for (const LinkConfig& c : kSiteConfigs) {
+    size_t relays = 0;
+    for (size_t si = 0; si < sets.size(); ++si) {
+      rw::Linker linker(c.opts, c.merge);
+      for (const Image& img : sets[si]) linker.add(img);
+      const rw::LinkedSystem sys = linker.link();
+      const std::optional<rw::LinkedSystem> installed =
+          net::deserialize_system(net::serialize_system(sys));
+      ASSERT_TRUE(installed.has_value()) << c.name << " set " << si;
+      ASSERT_EQ(installed->programs.size(), sys.programs.size());
+      for (size_t pi = 0; pi < sys.programs.size(); ++pi) {
+        const rw::ProgramInfo& linked = sys.programs[pi];
+        const rw::ProgramInfo& got = installed->programs[pi];
+        ASSERT_EQ(got.sites.size(), linked.sites.size())
+            << c.name << " set " << si << " prog " << pi;
+        for (uint32_t at = 0; at < got.sites.size(); ++at) {
+          const rw::SiteTarget& want = linked.sites[at];
+          const rw::SiteTarget& have = got.sites[at];
+          if (want.service != 0) {
+            ++relays;
+            EXPECT_EQ(have.service, want.service)
+                << c.name << " set " << si << " prog " << pi << " word " << at;
+            EXPECT_EQ(have.target, want.target)
+                << c.name << " set " << si << " prog " << pi << " word " << at;
+          } else if (have.service != 0) {
+            EXPECT_EQ(have.target,
+                      rw::relay_target(got.map, got.orig_words(),
+                                       installed->services[have.service - 1],
+                                       got.base + at))
+                << c.name << " set " << si << " prog " << pi << " word " << at;
+          }
+        }
+      }
+    }
+    EXPECT_GT(relays, 1000u) << c.name;
   }
 }
 

@@ -1,7 +1,10 @@
 // Shared-packet receive path (DESIGN.md §7, §9): one immutable buffer per
 // broadcast, per-link fates that never leak into another receiver's
 // bytes, the parse-once verdict cache measured against the byte-wise
-// Deframer, and the engine's due set against a full scan.
+// Deframer, the engine's due set against a full scan, and the wake
+// deadline at the deframer's next decision byte (the look-ahead over the
+// radio's unread bytes, the wake counts it gives, and the receive buffer
+// it must never overrun).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +12,10 @@
 #include <tuple>
 
 #include "apps/treesearch.hpp"
+#include "chaos/chaos.hpp"
 #include "chaos/prng.hpp"
 #include "emu/machine.hpp"
+#include "host/parallel.hpp"
 #include "net/due_set.hpp"
 #include "net/frame.hpp"
 #include "net/image_codec.hpp"
@@ -420,6 +425,333 @@ TEST(NetDueSet, StarExaminesOneWakeEntryPerReceiverStep) {
   EXPECT_EQ(sim.wake_entries_examined(), r.receiver_steps);
   EXPECT_GT(r.receiver_steps, 0u);
   EXPECT_LT(r.receiver_steps, quanta * cfg.nodes / 10);
+}
+
+// --- DeframerNeedAhead: the look-ahead wake deadline ------------------------
+
+// The reference: need() chained over `future` by pushing exactly the bytes
+// it asks for, on a copy. The byte count at which it first reaches 0, or
+// need() itself when `future` runs out first.
+size_t chained_need(net::Deframer d, std::span<const uint8_t> future) {
+  const size_t first = d.need();
+  size_t pushed = 0;
+  for (size_t k = first; k != 0; k = d.need()) {
+    if (future.size() - pushed < k) return first;
+    d.push(future.subspan(pushed, k));
+    pushed += k;
+  }
+  return pushed;
+}
+
+size_t need_ahead(const net::Deframer& d, std::span<const uint8_t> future) {
+  return d.need([future](size_t i) -> std::optional<uint8_t> {
+    if (i < future.size()) return future[i];
+    return std::nullopt;
+  });
+}
+
+struct AheadTally {
+  uint64_t checks = 0;
+  uint64_t past_header = 0;  // answered beyond need(): the candidate's end
+  uint64_t ran_out = 0;      // chained need() would pass the known bytes
+};
+
+// Compare the look-ahead with the chained reference over all the bytes
+// still to come and over two random prefixes of them (the bytes scheduled
+// so far).
+void check_ahead(const net::Deframer& d, std::span<const uint8_t> rest,
+                 chaos::Prng& r, AheadTally& t, const char* what,
+                 uint64_t seed) {
+  for (int k = 0; k < 3; ++k) {
+    const size_t known =
+        k == 0 ? rest.size() : r.below(static_cast<uint32_t>(rest.size() + 1));
+    const auto future = rest.first(known);
+    const size_t want = chained_need(d, future);
+    ASSERT_EQ(need_ahead(d, future), want)
+        << what << " seed " << seed << " known " << known;
+    ++t.checks;
+    if (want > d.need()) ++t.past_header;
+    if (d.need() != 0 && want == d.need() &&
+        chained_need(d, rest) != want)
+      ++t.ran_out;
+  }
+}
+
+TEST(DeframerNeedAhead, MatchesChainedNeedOnHonestAndHostileStreams) {
+  AheadTally tally[2];  // [hostile]
+  for (uint64_t seed = 0; seed < 1200; ++seed) {
+    const bool hostile = seed % 2 == 1;
+    chaos::Prng r(0xA4EAD + seed);
+    std::vector<uint8_t> stream;
+    for (uint32_t i = r.range(1, 8); i > 0; --i)
+      stream = concat(std::move(stream),
+                      hostile ? hostile_packet(r) : honest_frame(r));
+    // Push the stream in random slices. After each, check the state as
+    // pushed (next() may have work) and again once drained, as the engine
+    // leaves it after a step.
+    net::Deframer d;
+    Frame f;
+    for (size_t pos = 0; pos < stream.size();) {
+      const size_t n = std::min<size_t>(stream.size() - pos, r.range(1, 60));
+      d.push(std::span<const uint8_t>(stream).subspan(pos, n));
+      pos += n;
+      const auto rest = std::span<const uint8_t>(stream).subspan(pos);
+      check_ahead(d, rest, r, tally[hostile], "pushed", seed);
+      while (d.next(f)) {
+      }
+      check_ahead(d, rest, r, tally[hostile], "drained", seed);
+      if (HasFatalFailure()) return;
+    }
+  }
+  for (const AheadTally& t : tally) {
+    EXPECT_GT(t.checks, 10'000u);
+    EXPECT_GT(t.past_header, 1'000u);
+    EXPECT_GT(t.ran_out, 100u);
+  }
+}
+
+// A shared packet's partial prefix (the engine's fast path) looks ahead
+// exactly as the same bytes copied into the buffer do.
+TEST(DeframerNeedAhead, SharedPrefixLooksAheadLikeTheBuffer) {
+  chaos::Prng r(0x5AED);
+  uint64_t shared = 0;
+  for (uint64_t seed = 0; seed < 400; ++seed) {
+    const auto p = std::make_shared<const net::ParsedPacket>(
+        seed % 4 == 3 ? hostile_packet(r) : honest_frame(r));
+    const auto next = honest_frame(r);
+    const std::vector<uint8_t> stream = concat(p->bytes, next);
+    for (size_t have = 1; have < p->bytes.size(); ++have) {
+      net::Deframer fast, ref;
+      fast.push(p, 0, have);
+      ref.push(std::span<const uint8_t>(p->bytes).first(have));
+      Frame f;
+      while (fast.next(f)) {
+      }
+      while (ref.next(f)) {
+      }
+      const auto rest = std::span<const uint8_t>(stream).subspan(have);
+      for (size_t known = 0; known <= rest.size(); ++known) {
+        const auto future = rest.first(known);
+        ASSERT_EQ(need_ahead(fast, future), need_ahead(ref, future))
+            << "seed " << seed << " have " << have << " known " << known;
+        ASSERT_EQ(need_ahead(fast, future), chained_need(fast, future));
+      }
+    }
+    shared += p->whole_frame;
+  }
+  EXPECT_GT(shared, 200u);
+}
+
+// Hand-picked states: what the wake schedule waits for.
+TEST(DeframerNeedAhead, WaitsForTheCandidatesLastByteOnlyWhenItsLengthIsKnown) {
+  const auto frame = frame_bytes(FrameType::Data, 7, std::vector<uint8_t>(30, 1));
+  const auto all = std::span<const uint8_t>(frame);
+  net::Deframer d;
+  // Nothing pushed: the whole frame is due once its length byte is known.
+  EXPECT_EQ(need_ahead(d, all), frame.size());
+  EXPECT_EQ(need_ahead(d, all.first(6)), net::kFrameOverhead);  // tail unknown
+  EXPECT_EQ(need_ahead(d, all.first(5)), net::kFrameOverhead);  // length unknown
+  EXPECT_EQ(need_ahead(d, {}), net::kFrameOverhead);
+  // Three bytes in: the rest of the frame.
+  d.push(all.first(3));
+  EXPECT_EQ(need_ahead(d, all.subspan(3)), frame.size() - 3);
+  EXPECT_EQ(need_ahead(d, all.subspan(3, 2)), net::kFrameOverhead - 3);
+  // A length lie (past kMaxPayload) is rejected at the header.
+  auto lie = frame;
+  lie[5] = net::kMaxPayload + 1;
+  EXPECT_EQ(need_ahead(net::Deframer{}, lie), net::kFrameOverhead);
+  // Garbage first: next() skips it at the header's end.
+  EXPECT_EQ(need_ahead(net::Deframer{}, concat({0x00}, frame)),
+            net::kFrameOverhead);
+  // Bytes next() can act on now: nothing to wait for.
+  d.push(all.subspan(3));
+  EXPECT_EQ(need_ahead(d, all), 0u);
+}
+
+// --- RxPeek: the radio's unread bytes, in order -----------------------------
+
+std::vector<uint8_t> peek_all(const DeviceHub& dev) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0;; ++i) {
+    const std::optional<uint8_t> b = dev.peek_unread(i);
+    if (!b) return out;
+    out.push_back(*b);
+  }
+}
+
+std::vector<uint8_t> seq(size_t n, uint8_t first) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(first + i);
+  return v;
+}
+
+TEST(RxPeek, ReadsRunsThenThePartlyArrivedFrontThenLaterPackets) {
+  emu::Machine m;
+  DeviceHub& dev = m.dev();
+  EXPECT_EQ(dev.peek_unread(0), std::nullopt);
+  const auto a = seq(5, 10), b = seq(6, 40), c = seq(4, 90);
+  dev.schedule_rx(a, 0);
+  dev.schedule_rx(b, 0);  // queues behind a: 6..11 byte times
+  dev.schedule_rx(c, 30 * kB);
+  // Nothing arrived yet: every byte is in flight.
+  EXPECT_EQ(peek_all(dev), concat(concat(a, b), c));
+  // All of a and two bytes of b buffered, as two runs; the rest of b (its
+  // cursor at 2) and c in flight.
+  dev.sync(7 * kB);
+  ASSERT_EQ(dev.rx_buffered(), 7u);
+  EXPECT_EQ(peek_all(dev), concat(concat(a, b), c));
+  EXPECT_EQ(dev.peek_unread(4), std::optional<uint8_t>(14));
+  EXPECT_EQ(dev.peek_unread(5), std::optional<uint8_t>(40));
+  EXPECT_EQ(dev.peek_unread(7), std::optional<uint8_t>(42));
+  EXPECT_EQ(dev.peek_unread(11), std::optional<uint8_t>(90));
+  EXPECT_EQ(dev.peek_unread(14), std::optional<uint8_t>(93));
+  EXPECT_EQ(dev.peek_unread(15), std::nullopt);
+  EXPECT_EQ(dev.peek_unread(1000), std::nullopt);
+  // Reading through the port pops from the head run.
+  for (int i = 0; i < 3; ++i) {
+    uint8_t v = 0;
+    dev.io_access(emu::kRadioRxData, v, false);
+  }
+  EXPECT_EQ(dev.peek_unread(0), std::optional<uint8_t>(13));
+  EXPECT_EQ(peek_all(dev),
+            concat(concat({13, 14}, b), c));
+  // Draining leaves only what is in flight.
+  take(dev);
+  EXPECT_EQ(peek_all(dev), concat(std::vector<uint8_t>(b.begin() + 2, b.end()), c));
+  dev.sync(40 * kB);
+  take(dev);
+  EXPECT_EQ(dev.peek_unread(0), std::nullopt);
+}
+
+// The bytes peeked at any moment are the bytes later reads return, in
+// order, and byte i is peekable exactly when rx_arrival(i + 1) is known.
+TEST(RxPeek, PeekedBytesAreWhatLaterReadsReturn) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    chaos::Prng r(0x9EE4 + seed);
+    emu::Machine m;
+    DeviceHub& dev = m.dev();
+    uint64_t at = 0;
+    for (uint32_t i = r.range(1, 6); i > 0; --i) {
+      dev.schedule_rx(seq(r.range(1, 20), static_cast<uint8_t>(r.below(256))),
+                      at);
+      at += r.below(static_cast<uint32_t>(30 * kB));
+    }
+    std::vector<uint8_t> got;
+    uint64_t t = 0;
+    for (int step = 0; step < 6; ++step) {
+      t += r.below(static_cast<uint32_t>(25 * kB));
+      dev.sync(t);
+      const std::vector<uint8_t> ahead = peek_all(dev);
+      for (size_t i = 0; i <= ahead.size() + 1; ++i)
+        EXPECT_EQ(dev.peek_unread(i).has_value(),
+                  dev.rx_arrival(i + 1).has_value())
+            << "seed " << seed << " i " << i;
+      const size_t before = got.size();
+      if (r.percent(50)) {
+        dev.take_rx(got);
+      } else {
+        for (size_t k = r.below(static_cast<uint32_t>(dev.rx_buffered() + 1));
+             k > 0; --k) {
+          uint8_t v = 0;
+          dev.io_access(emu::kRadioRxData, v, false);
+          got.push_back(v);
+        }
+      }
+      // What was read is the peeked prefix; what is left peeks as its rest.
+      const std::vector<uint8_t> read(got.begin() + static_cast<ptrdiff_t>(before),
+                                      got.end());
+      ASSERT_LE(read.size(), ahead.size()) << "seed " << seed;
+      EXPECT_TRUE(std::equal(read.begin(), read.end(), ahead.begin()))
+          << "seed " << seed;
+      EXPECT_EQ(peek_all(dev),
+                std::vector<uint8_t>(ahead.begin() + static_cast<ptrdiff_t>(read.size()),
+                                     ahead.end()))
+          << "seed " << seed;
+    }
+    ASSERT_EQ(dev.rx_overruns(), 0u);
+  }
+}
+
+// --- Wake counts of the pinned fleet cells -----------------------------------
+
+// The fleet cells of NetDeterminism.GoldenTraceDigests: the two-search-task
+// fig7 image at seed 0xF1EE7, a base that never gives up.
+net::NetConfig fleet_cell(net::TopologyKind kind, size_t nodes,
+                          uint32_t drop_pct) {
+  net::NetConfig cfg;
+  cfg.nodes = nodes;
+  cfg.link.drop_pct = drop_pct;
+  cfg.topo.kind = kind;
+  cfg.chaos_seed = 0xF1EE7;
+  cfg.proto.node_give_up_probes = 0;
+  cfg.max_cycles = 64'000'000'000ULL;
+  return cfg;
+}
+
+struct FleetCell {
+  const char* name;
+  net::NetConfig cfg;
+};
+
+std::vector<FleetCell> fleet_cells() {
+  using net::TopologyKind;
+  return {{"star 4 @ 0%", fleet_cell(TopologyKind::Star, 4, 0)},
+          {"star 4 @ 10%", fleet_cell(TopologyKind::Star, 4, 10)},
+          {"star 16 @ 0%", fleet_cell(TopologyKind::Star, 16, 0)},
+          {"star 16 @ 10%", fleet_cell(TopologyKind::Star, 16, 10)},
+          {"grid 16 @ 10%", fleet_cell(TopologyKind::Grid, 16, 10)}};
+}
+
+// Receivers wake at frame decisions (a delivery or a rejection), not at
+// frame headers: exact step counts, deterministic like the digests those
+// cells pin. Waking at every header, the same cells took 1060, 1470, 4432,
+// 38691 and 30056 steps.
+TEST(NetDeterminism, FleetCellsWakeAtFrameDecisions) {
+  const uint64_t want[] = {540, 764, 2352, 19935, 20137};
+  const auto blob = fleet_blob();
+  const std::vector<FleetCell> cells = fleet_cells();
+  ASSERT_EQ(cells.size(), std::size(want));
+  for (size_t i = 0; i < cells.size(); ++i) {
+    net::NetSim sim(cells[i].cfg, blob);
+    const auto r = sim.disseminate();
+    ASSERT_TRUE(r.all_acked) << cells[i].name;
+    EXPECT_EQ(r.receiver_steps, want[i]) << cells[i].name;
+    EXPECT_EQ(sim.wake_entries_examined(), want[i]) << cells[i].name;
+  }
+}
+
+// The wake rule's safety argument (DESIGN.md §9): between two wakes at
+// most one frame candidate reaches an honest receiver's radio, less than
+// its buffer holds, so no honest receiver that is up ever loses a byte to
+// an overrun — over the pinned fleet cells and seeded net-chaos runs with
+// crashes, mesh relays, hostile neighbors and rollouts. (A node that is
+// down is never stepped; what lands in its radio meanwhile is counted as
+// overruns at power-up and then flushed, so those are not wake faults.)
+TEST(NetDeterminism, HonestReceiversNeverOverrun) {
+  const auto blob = fleet_blob();
+  for (const FleetCell& c : fleet_cells()) {
+    net::NetSim sim(c.cfg, blob);
+    const auto r = sim.disseminate();
+    ASSERT_TRUE(r.all_acked) << c.name;
+    for (size_t id = 1; id <= c.cfg.nodes; ++id)
+      EXPECT_EQ(r.nodes[id - 1].rx_overruns, 0u) << c.name << " node " << id;
+  }
+  constexpr size_t kSeeds = 40;
+  const auto runs = host::sweep_collect<chaos::NetChaosResult>(
+      kSeeds, host::effective_jobs(4, kSeeds), [](std::size_t i) {
+        chaos::NetChaosOptions o;
+        o.seed = i + 1;
+        return chaos::run_net_chaos(o);
+      });
+  size_t hostile = 0, rollouts = 0;
+  for (const chaos::NetChaosResult& r : runs) {
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_EQ(r.honest_rx_overruns, 0u) << "net-chaos seed " << r.seed;
+    hostile += r.hostile;
+    rollouts += r.rollout;
+  }
+  EXPECT_GT(hostile, 0u);
+  EXPECT_GT(rollouts, 0u);
 }
 
 }  // namespace
