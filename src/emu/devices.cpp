@@ -240,19 +240,7 @@ void DeviceHub::io_access(uint16_t addr, uint8_t& value, bool write) {
         value = static_cast<uint8_t>(std::min<size_t>(rx_avail_bytes_, 255));
       break;
     case kRadioCtrl:
-      if (write && value == 1 && !radio_buf_.empty()) {
-        if (!radio_done_at_) {
-          tx_inflight_ = std::move(radio_buf_);
-          radio_done_at_ =
-              now_ + uint64_t(kCyclesPerRadioByte) * tx_inflight_.size();
-        } else {
-          // Transmitter busy: queue the staged packet instead of silently
-          // dropping the send. It starts when the in-flight one completes.
-          tx_queue_.push_back(std::move(radio_buf_));
-        }
-        radio_buf_.clear();
-        mem_.set_raw(kRadioStatus, 1);
-      }
+      if (write && value == 1) radio_go();
       break;
     case kHostOut:
       if (write) host_out_.push_back(value);
@@ -302,6 +290,28 @@ void DeviceHub::io_access(uint16_t addr, uint8_t& value, bool write) {
     default:
       break;
   }
+}
+
+void DeviceHub::radio_go() {
+  if (radio_buf_.empty()) return;
+  if (!radio_done_at_) {
+    tx_inflight_ = std::move(radio_buf_);
+    radio_done_at_ =
+        now_ + uint64_t(kCyclesPerRadioByte) * tx_inflight_.size();
+  } else {
+    // Transmitter busy: queue the staged packet instead of silently
+    // dropping the send. It starts when the in-flight one completes.
+    tx_queue_.push_back(std::move(radio_buf_));
+  }
+  radio_buf_.clear();
+  mem_.set_raw(kRadioStatus, 1);
+}
+
+void DeviceHub::radio_send(std::span<const uint8_t> bytes) {
+  sync(now_);
+  radio_buf_.reserve(radio_buf_.size() + bytes.size());
+  radio_buf_.insert(radio_buf_.end(), bytes.begin(), bytes.end());
+  radio_go();
 }
 
 void DeviceHub::reboot() {

@@ -245,6 +245,10 @@ class DeviceHub {
   // then deliveries in flight from the front packet's cursor on; nullopt
   // past the last byte buffered or in flight.
   std::optional<uint8_t> peek_unread(size_t i) const;
+  // Stage `bytes` in the transmit buffer and start sending them: the device
+  // state writing each byte to kRadioData and then 1 to kRadioCtrl leaves,
+  // from one sync and one append instead of a port round trip per byte.
+  void radio_send(std::span<const uint8_t> bytes);
   // Completion cycle of the packet on the air, if one is transmitting.
   std::optional<uint64_t> tx_done_at() const { return radio_done_at_; }
 
@@ -303,6 +307,9 @@ class DeviceHub {
   uint16_t lfsr_next();
   uint32_t timer0_prescale() const;
   void rx_arrive(uint64_t now);
+  // The kRadioCtrl start strobe: move the staged packet on the air, or
+  // queue it behind the one transmitting. No-op with nothing staged.
+  void radio_go();
 
   DataMemory& mem_;
   uint64_t now_ = 0;

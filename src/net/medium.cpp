@@ -1,6 +1,7 @@
 #include "net/medium.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "net/frame.hpp"
 
@@ -36,6 +37,20 @@ bool Medium::in_outage(size_t from, size_t to, uint64_t at) const {
   return false;
 }
 
+void Medium::set_topology(Topology t) {
+  topo_ = std::move(t);
+  mask_words_ = topo_.mesh ? (topo_.count + 63) / 64 : 0;
+  audience_.assign(topo_.count * mask_words_, 0);
+  kill_.assign(mask_words_, 0);
+  const auto set = [this](size_t node, size_t bit) {
+    audience_[node * mask_words_ + bit / 64] |= uint64_t(1) << (bit % 64);
+  };
+  for (size_t node = 0; node < topo_.neighbors.size(); ++node) {
+    set(node, node);
+    for (uint16_t r : topo_.neighbors[node]) set(node, r);
+  }
+}
+
 // Capture-model collision resolution: a delivery is destroyed at its
 // receiver iff the transmission log holds an audible transmission that
 // overlaps its airtime and either (a) came from the receiver itself
@@ -43,34 +58,46 @@ bool Medium::in_outage(size_t from, size_t to, uint64_t at) const {
 // order breaking exact ties. Purely a function of the deterministic
 // transmission schedule; consumes no randomness.
 //
-// Only log entries that can overlap are visited: a competitor ends at most
-// kMaxAirtime after it starts, so the scan begins at the first entry
-// starting after tx_start - kMaxAirtime and stops at the first one starting
-// at or after tx_done.
-bool Medium::collided(size_t from, size_t to, uint64_t tx_start,
-                      uint64_t tx_done) const {
-  const uint64_t earliest = tx_start > kMaxAirtime ? tx_start - kMaxAirtime : 0;
+// The verdicts of every receiver of one arrival come from one scan: a
+// competitor that completes first kills the delivery at everyone who hears
+// it and at its own sender (its audience), and one that completes later
+// kills it only at its sender. Only log entries that can overlap are
+// visited: a competitor ends at most kMaxAirtime after it starts, so the
+// scan begins at the first entry starting after tx_start - kMaxAirtime and
+// stops at the first one starting at or after tx_done.
+void Medium::resolve_collisions(const Arrival& a) {
+  std::fill(kill_.begin(), kill_.end(), 0);
+  const uint64_t earliest =
+      a.tx_start > kMaxAirtime ? a.tx_start - kMaxAirtime : 0;
+  const auto end = txlog_.end();
   auto it = std::partition_point(
-      txlog_.begin(), txlog_.end(),
+      txlog_.begin() + txlog_head_, end,
       [earliest](const TxRec& r) { return r.start < earliest; });
-  for (; it != txlog_.end() && it->start < tx_done; ++it) {
+  for (; it != end && it->start < a.tx_done; ++it) {
     const TxRec& r = *it;
-    if (r.from == from) continue;  // own frames never overlap (serial radio)
-    if (tx_start >= r.done) continue;  // ended before this one started
-    if (r.from == to) return true;  // receiver was itself transmitting
-    if (!topo_.linked(r.from, to)) continue;  // inaudible at the receiver
-    if (r.done < tx_done || (r.done == tx_done && r.from < from))
-      return true;  // the competitor completes first and is captured
+    if (r.from == a.from) continue;  // own frames never overlap (serial radio)
+    if (r.done <= a.tx_start) continue;  // ended before this one started
+    if (r.done < a.tx_done || (r.done == a.tx_done && r.from < a.from)) {
+      const uint64_t* hears = &audience_[r.from * mask_words_];
+      for (size_t w = 0; w < mask_words_; ++w) kill_[w] |= hears[w];
+    } else {
+      kill_[r.from / 64] |= uint64_t(1) << (r.from % 64);
+    }
   }
-  return false;
 }
 
 void Medium::note_tx(size_t from, uint64_t start, uint64_t done) {
+  if (done < start || done - start > kMaxAirtime)
+    throw std::invalid_argument(
+        "Medium::note_tx: airtime window reversed or longer than "
+        "kMaxAirtime");
   if (!topo_.mesh) return;
+  if (from >= topo_.count)
+    throw std::invalid_argument("Medium::note_tx: sender outside topology");
   // Upper bound keeps equal starts in call order; an in-order note (the
   // simulator's only kind) lands at the end.
   const auto at = std::upper_bound(
-      txlog_.begin(), txlog_.end(), start,
+      txlog_.begin() + txlog_head_, txlog_.end(), start,
       [](uint64_t s, const TxRec& r) { return s < r.start; });
   txlog_.insert(at, TxRec{from, start, done});
 }
@@ -81,8 +108,10 @@ void Medium::flush(uint64_t now) {
     std::pop_heap(pending_.begin(), pending_.end(), later);
     const Arrival a = std::move(pending_.back());
     pending_.pop_back();
+    const bool mesh = a.tx_done != 0;
+    if (mesh) resolve_collisions(a);
     for (const Delivery& d : a.to) {
-      if (a.tx_done != 0 && collided(a.from, d.to, a.tx_start, a.tx_done)) {
+      if (mesh && (kill_[d.to / 64] >> (d.to % 64) & 1)) {
         ++stats_.collisions;
         if (observer_)
           observer_(a.tx_done, FaultAction::Collision, a.from, d.to);
@@ -100,7 +129,12 @@ void Medium::flush(uint64_t now) {
   const uint64_t horizon = 64ull * (kMaxPayload + kFrameOverhead) *
                            DeviceHub::kCyclesPerRadioByte;
   const uint64_t cutoff = now > horizon ? now - horizon : 0;
-  while (!txlog_.empty() && txlog_.front().done < cutoff) txlog_.pop_front();
+  while (txlog_head_ < txlog_.size() && txlog_[txlog_head_].done < cutoff)
+    ++txlog_head_;
+  if (txlog_head_ > txlog_.size() / 2) {
+    txlog_.erase(txlog_.begin(), txlog_.begin() + txlog_head_);
+    txlog_head_ = 0;
+  }
 }
 
 void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
@@ -120,6 +154,9 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
   // same airtime) carries the transmission identity.
   const uint64_t cid = mesh ? done_cycle : 0;
 
+  const uint64_t primary_at = done_cycle + base_latency;
+  const size_t links = mesh ? topo_.neighbors[from].size() : n - 1;
+
   // Deliver one copy of this packet to `to` at cycle `at`; a corrupted copy
   // gets its own buffer with 1..3 bits flipped at seeded positions — enough
   // to break the frame CRC (or, rarely, only the sync byte: the deframer
@@ -136,16 +173,16 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
       }
       copy = std::make_shared<const emu::RadioPacket>(std::move(bytes));
     }
-    arrival_at(at).to.push_back({to, std::move(copy)});
+    Arrival& a = arrival_at(at);
+    // The arrival at the base latency collects nearly every delivery:
+    // size it once, for every link.
+    if (a.to.empty() && at == primary_at) a.to.reserve(links);
+    a.to.push_back({to, std::move(copy)});
   };
 
-  for (size_t to = 0; to < n; ++to) {
-    if (to == from) continue;
-    uint32_t quality = 100;
-    if (mesh) {
-      quality = topo_.link_quality(from, to);
-      if (quality == 0) continue;  // out of range: never offered, no rolls
-    }
+  // Offer the packet on the link to `to`: outage check, then the fault
+  // rolls, then the enqueue.
+  auto offer = [&](size_t to, uint32_t quality) {
     const uint64_t tx_index = link_tx_[from * n + to]++;
     ++stats_.packets_offered;
 
@@ -155,7 +192,7 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
     if (in_outage(from, to, done_cycle)) {
       ++stats_.outage_drops;
       if (observer_) observer_(done_cycle, FaultAction::Outage, from, to);
-      continue;
+      return;
     }
 
     // Decide this delivery's fate: scripted policy if installed, else one
@@ -186,35 +223,48 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
     switch (act) {
       case FaultAction::Drop:
         ++stats_.dropped;
-        continue;
+        return;
       case FaultAction::Outage:  // scripted policy declared the link down
         ++stats_.outage_drops;
-        continue;
+        return;
       case FaultAction::Collision:  // scripted policy destroyed it outright
         ++stats_.collisions;
-        continue;
+        return;
       case FaultAction::Duplicate:
         ++stats_.duplicated;
-        enqueue(to, done_cycle + base_latency, false);
-        enqueue(to, done_cycle + base_latency + air, false);
+        enqueue(to, primary_at, false);
+        enqueue(to, primary_at + air, false);
         break;
       case FaultAction::Reorder: {
         // Push this packet past the next few transmissions: an extra
         // delay of 2..6 packet-lengths-worth of airtime.
         ++stats_.reordered;
         const uint64_t extra = uint64_t(prng_.range(2, 6)) * air;
-        enqueue(to, done_cycle + base_latency + extra, false);
+        enqueue(to, primary_at + extra, false);
         break;
       }
       case FaultAction::Corrupt:
         ++stats_.corrupted;
-        enqueue(to, done_cycle + base_latency, true);
+        enqueue(to, primary_at, true);
         break;
       case FaultAction::None:
-        enqueue(to, done_cycle + base_latency, false);
+        enqueue(to, primary_at, false);
         break;
     }
     ++stats_.delivered;
+  };
+
+  // A mesh broadcast reaches the sender's in-range neighbors only (out of
+  // range: never offered, no rolls); the list is ascending, the same link
+  // order as the star's walk over every other node.
+  if (mesh) {
+    for (uint16_t to : topo_.neighbors[from]) {
+      if (to >= n) break;
+      offer(to, topo_.link_quality(from, to));
+    }
+  } else {
+    for (size_t to = 0; to < n; ++to)
+      if (to != from) offer(to, 100);
   }
 
   if (batch_.empty()) return;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
@@ -106,7 +105,7 @@ class Medium {
   // randomness, and depend only on the (deterministic) transmission
   // schedule. Without a mesh topology behavior is byte-identical to the
   // legacy single-hop medium.
-  void set_topology(Topology t) { topo_ = std::move(t); }
+  void set_topology(Topology t);
   const Topology& topology() const { return topo_; }
 
   // Schedule a link-down window; may be called mid-simulation (windows in
@@ -134,7 +133,9 @@ class Medium {
   // The log is kept in start order (the simulator notes transmissions as
   // they start, so this is an append) and no window may be longer than
   // kMaxAirtime: the collision check relies on both to scan only the
-  // entries that can overlap. No-op without a mesh topology.
+  // entries that can overlap. Throws std::invalid_argument for a window
+  // with done < start or longer than kMaxAirtime (and, with a mesh
+  // topology, for a sender outside it). No-op without a mesh topology.
   void note_tx(size_t from, uint64_t start, uint64_t done);
   // Longest transmission any node may put on the air (the simulator's
   // hostile-packet ceiling; honest frames are shorter).
@@ -162,8 +163,6 @@ class Medium {
 
  private:
   bool in_outage(size_t from, size_t to, uint64_t at) const;
-  bool collided(size_t from, size_t to, uint64_t tx_start,
-                uint64_t tx_done) const;
 
   LinkParams params_;
   chaos::Prng prng_;
@@ -198,6 +197,8 @@ class Medium {
   // The entry of the broadcast in progress that lands at `at`, created on
   // first use (with the next enqueue sequence).
   Arrival& arrival_at(uint64_t at);
+  // Fill kill_ with the receivers at which this mesh arrival collides.
+  void resolve_collisions(const Arrival& a);
   static bool later(const Arrival& a, const Arrival& b) {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
@@ -211,12 +212,21 @@ class Medium {
   // completed, so by the time a delivery is checked the log holds every
   // transmission that completed at or before its own completion — exactly
   // the competitors the capture rule consults. Entries are in start order,
-  // so pruning pops from the front.
+  // so pruning advances txlog_head_ past the dead prefix, which is erased
+  // once it is more than half the vector.
   struct TxRec {
     size_t from;
     uint64_t start, done;
   };
-  std::deque<TxRec> txlog_;
+  std::vector<TxRec> txlog_;
+  size_t txlog_head_ = 0;
+  // Mesh collision masks, mask_words_ 64-bit words per bitset: audience_
+  // holds, per node, the receivers that hear it plus the node itself;
+  // kill_ is the arrival being flushed, one bit per receiver it collides
+  // at (DESIGN.md §10 "Contention").
+  size_t mask_words_ = 0;
+  std::vector<uint64_t> audience_;
+  std::vector<uint64_t> kill_;
   std::vector<Handoff> flushed_to_;
 };
 

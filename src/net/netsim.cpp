@@ -427,17 +427,9 @@ bool NetSim::radio_busy(size_t id) {
   return status & 1;
 }
 
-// Stage `bytes` in the radio's transmit buffer and start sending them.
-void NetSim::radio_tx(size_t id, std::span<const uint8_t> bytes) {
-  auto& dev = machines_[id]->dev();
-  for (uint8_t b : bytes) dev.io_access(emu::kRadioData, b, true);
-  uint8_t go = 1;
-  dev.io_access(emu::kRadioCtrl, go, true);
-}
-
 void NetSim::send_frame(size_t node_id, const Frame& f) {
   encode_frame_into(f, encode_scratch_);
-  radio_tx(node_id, encode_scratch_);
+  machines_[node_id]->dev().radio_send(encode_scratch_);
   if (node_id == 0)
     ++base_->stats.frames_tx;
 }
@@ -1278,7 +1270,7 @@ void NetSim::step_hostile(Node& n, uint64_t now) {
     return;
   if (hostile_tx_.size() > kMaxHostilePacket)
     hostile_tx_.resize(kMaxHostilePacket);
-  radio_tx(n.id, hostile_tx_);
+  machines_[n.id]->dev().radio_send(hostile_tx_);
   if (mesh_)
     out_.tx_notes.push_back({n.id, now, now + hostile_tx_.size() * kByte});
 }

@@ -480,7 +480,6 @@ class NetSim {
               uint32_t b);
   // Radio port access shared by every sender, the hostile one included.
   bool radio_busy(size_t id);
-  void radio_tx(size_t id, std::span<const uint8_t> bytes);
   void send_frame(size_t node_id, const Frame& f);
   // Chunk `seq` of `image` as a Data frame (in data_frame_).
   const Frame& data_frame(uint8_t version, uint16_t seq,

@@ -8,11 +8,19 @@
 // fed entirely by a peer, with the base never retransmitting for it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/treesearch.hpp"
+#include "chaos/prng.hpp"
+#include "emu/devices.hpp"
 #include "emu/machine.hpp"
+#include "emu/memory.hpp"
 #include "net/frame.hpp"
 #include "net/image_codec.hpp"
 #include "net/medium.hpp"
@@ -224,6 +232,243 @@ TEST(MeshMedium, OutOfRangeNodesAreNeverOffered) {
   EXPECT_EQ(medium.stats().packets_offered, 1u);
   EXPECT_EQ(b.dev().rx_delivered(), pkt.size());
   EXPECT_EQ(c.dev().rx_delivered(), 0u);
+}
+
+TEST(MeshMedium, NoteTxRejectsWindowsTheScanCannotBound) {
+  // The collision scan only visits log entries starting within
+  // kMaxAirtime of a delivery, so a longer window would let overlaps go
+  // unseen: note_tx refuses it (and a reversed one), mesh or not.
+  constexpr uint64_t kMax = net::Medium::kMaxAirtime;
+  emu::Machine a, b, c;
+  net::Medium star(net::LinkParams{}, 1);
+  star.attach(&a.dev());
+  EXPECT_THROW(star.note_tx(0, 500, 499), std::invalid_argument);
+  EXPECT_THROW(star.note_tx(0, 0, kMax + 1), std::invalid_argument);
+  EXPECT_NO_THROW(star.note_tx(0, 0, kMax));
+
+  net::Medium mesh(net::LinkParams{}, 1);
+  mesh.attach(&a.dev());
+  mesh.attach(&b.dev());
+  mesh.attach(&c.dev());
+  mesh.set_topology(line_topology(3));
+  EXPECT_THROW(mesh.note_tx(1, 10'000, 9'999), std::invalid_argument);
+  EXPECT_THROW(mesh.note_tx(1, 10'000, 10'000 + kMax + 1),
+               std::invalid_argument);
+  EXPECT_THROW(mesh.note_tx(3, 10'000, 12'000), std::invalid_argument);
+  // The longest legal window still collides: node 1 is transmitting for
+  // all of it, so the base's frame inside it is lost at node 1.
+  EXPECT_NO_THROW(mesh.note_tx(1, 10'000, 10'000 + kMax));
+  const std::vector<uint8_t> pkt{1, 2};
+  const uint64_t done = 10'000 + kMax - 3'000;
+  const uint64_t air = pkt.size() * emu::DeviceHub::kCyclesPerRadioByte;
+  EXPECT_NO_THROW(mesh.note_tx(0, done - air, done));
+  mesh.broadcast(0, pkt, done);
+  mesh.flush(100'000'000);
+  EXPECT_EQ(mesh.stats().collisions, 1u);
+}
+
+// The per-delivery capture rule, checked for one (delivery, receiver)
+// pair against every window noted so far: the definition the medium's
+// one-scan-per-arrival kill mask must reproduce. Pruning is time-based
+// and never removes a window that can still overlap a pending delivery,
+// so the oracle keeps every window.
+struct NotedTx {
+  size_t from;
+  uint64_t start, done;
+};
+
+bool oracle_collided(const std::vector<NotedTx>& log, const net::Topology& t,
+                     size_t from, size_t to, uint64_t tx_start,
+                     uint64_t tx_done) {
+  for (const NotedTx& r : log) {
+    if (r.start >= tx_done) continue;  // starts after this one ended
+    if (r.from == from) continue;  // own frames never overlap (serial radio)
+    if (tx_start >= r.done) continue;  // ended before this one started
+    if (r.from == to) return true;  // receiver was itself transmitting
+    if (!t.linked(r.from, to)) continue;  // inaudible at the receiver
+    if (r.done < tx_done || (r.done == tx_done && r.from < from))
+      return true;  // the competitor completes first and is captured
+  }
+  return false;
+}
+
+TEST(MeshMedium, ArrivalMaskMatchesPerDeliveryScan) {
+  // Seeded schedules on line, grid and random placements of 3..64 nodes,
+  // with random drop/duplicate/reorder/corrupt rolls. Each round notes a
+  // burst of windows (shuffled, so inserts land out of start order; some
+  // windows share a `done` with another sender's, some senders overlap
+  // themselves, some windows are never broadcast), broadcasts them, and
+  // flushes once every copy is due; gaps between rounds fall on both sides
+  // of the medium's prune horizon. Every delivery's fate must match the
+  // oracle: the collision events, each node's hand-off count and bytes, and
+  // the collision counter.
+  constexpr uint64_t kByte = emu::DeviceHub::kCyclesPerRadioByte;
+  constexpr uint64_t kMaxAir = net::Medium::kMaxAirtime;
+  constexpr uint64_t kHorizon =
+      64ull * (net::kMaxPayload + net::kFrameOverhead) * kByte;
+  const net::TopologyKind kinds[] = {net::TopologyKind::Line,
+                                     net::TopologyKind::Grid,
+                                     net::TopologyKind::Random};
+  struct Radio {
+    emu::DataMemory mem;
+    emu::DeviceHub dev{mem};
+  };
+  using Event = std::tuple<uint64_t, size_t, size_t>;  // (done, from, to)
+
+  uint64_t total_deliveries = 0, total_collisions = 0, ties = 0;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    chaos::Prng r(seed * 0x9E3779B97F4A7C15ULL + 17);
+    net::TopologySpec spec;
+    spec.kind = kinds[seed % 3];
+    spec.seed = seed;
+    const size_t count = 3 + r.below(62);
+    const net::Topology topo = net::build_topology(spec, count, seed);
+
+    net::LinkParams link;
+    link.drop_pct = r.below(30);
+    link.dup_pct = r.below(20);
+    link.reorder_pct = r.below(20);
+    link.corrupt_pct = r.below(10);
+    link.latency_bytes = 1 + r.below(4);
+    net::Medium medium(link, seed);
+    std::vector<std::unique_ptr<Radio>> radios;
+    for (size_t i = 0; i < count; ++i) {
+      radios.push_back(std::make_unique<Radio>());
+      medium.attach(&radios.back()->dev);
+    }
+    medium.set_topology(topo);
+
+    std::vector<std::pair<net::FaultAction, size_t>> offered;
+    std::vector<Event> collided;
+    medium.set_observer(
+        [&](uint64_t done, net::FaultAction act, size_t from, size_t to) {
+          if (act == net::FaultAction::Collision)
+            collided.emplace_back(done, from, to);
+          else
+            offered.emplace_back(act, to);
+        });
+
+    std::vector<NotedTx> log;
+    std::vector<uint64_t> want_rx(count, 0), want_handoffs(count, 0);
+    std::vector<uint64_t> got_handoffs(count, 0);
+    uint64_t want_collisions = 0;
+    uint64_t base = r.below(2) ? 0 : 5 * kMaxAir;
+    const uint32_t rounds = 1 + r.below(6);
+    for (uint32_t round = 0; round < rounds; ++round) {
+      struct Tx {
+        size_t from;
+        size_t size;
+        uint64_t done;
+        bool noted, sent;
+      };
+      std::vector<Tx> txs;
+      uint64_t last_done = base;
+      const uint32_t k = 1 + r.below(12);
+      const uint64_t spread = 1 + r.below(3 * kMaxAir);
+      for (uint32_t i = 0; i < k; ++i) {
+        Tx tx{r.below(static_cast<uint32_t>(count)), 1 + r.below(96), 0,
+              r.below(10) != 0, r.below(10) != 0};
+        tx.done = base + spread / 2 + r.below(static_cast<uint32_t>(spread)) +
+                  tx.size * kByte;
+        if (!txs.empty() && r.below(3) == 0) {
+          // Exact tie with an earlier frame's completion.
+          tx.done = txs[r.below(static_cast<uint32_t>(txs.size()))].done;
+          tx.size = std::min<size_t>(tx.size, tx.done / kByte);
+          ++ties;
+        }
+        if (!txs.empty() && r.below(6) == 0)  // same sender, overlapping
+          tx.from = txs[r.below(static_cast<uint32_t>(txs.size()))].from;
+        txs.push_back(tx);
+        last_done = std::max(last_done, tx.done);
+      }
+      // Note in a shuffled order: the log keeps start order regardless.
+      std::vector<size_t> order(txs.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[r.below(static_cast<uint32_t>(i))]);
+      for (size_t i : order) {
+        const Tx& tx = txs[i];
+        if (!tx.noted) continue;
+        medium.note_tx(tx.from, tx.done - tx.size * kByte, tx.done);
+        log.push_back({tx.from, tx.done - tx.size * kByte, tx.done});
+      }
+
+      struct Copy {
+        size_t from, to, size;
+        uint64_t start, done;
+      };
+      std::vector<Copy> copies;
+      for (size_t i : order) {
+        const Tx& tx = txs[i];
+        if (!tx.sent) continue;
+        offered.clear();
+        medium.broadcast(tx.from, std::vector<uint8_t>(tx.size, 0x5A),
+                         tx.done);
+        for (const auto& [act, to] : offered) {
+          int n = 0;  // copies enqueued on this link
+          switch (act) {
+            case net::FaultAction::None:
+            case net::FaultAction::Reorder:
+            case net::FaultAction::Corrupt: n = 1; break;
+            case net::FaultAction::Duplicate: n = 2; break;
+            default: break;
+          }
+          for (int c = 0; c < n; ++c)
+            copies.push_back(
+                {tx.from, to, tx.size, tx.done - tx.size * kByte, tx.done});
+        }
+      }
+
+      // A flush before anything of this round is due only prunes.
+      if (r.below(3) == 0) medium.flush(base);
+      // Every copy is due by then: latency plus at most 7 frame lengths.
+      const uint64_t now =
+          last_done + (link.latency_bytes + 7 * 96) * kByte + r.below(1000);
+      collided.clear();
+      medium.flush(now);
+      for (const auto& h : medium.flushed_to()) ++got_handoffs[h.to];
+
+      std::vector<Event> want;
+      for (const Copy& c : copies) {
+        if (oracle_collided(log, topo, c.from, c.to, c.start, c.done)) {
+          want.emplace_back(c.done, c.from, c.to);
+        } else {
+          want_rx[c.to] += c.size;
+          ++want_handoffs[c.to];
+        }
+      }
+      std::sort(want.begin(), want.end());
+      std::sort(collided.begin(), collided.end());
+      ASSERT_EQ(collided, want) << "round " << round;
+      want_collisions += want.size();
+      total_deliveries += copies.size();
+
+      // Next round (time only moves forward, as in the simulator):
+      // overlapping this one's tail, just after it, or past the prune
+      // horizon.
+      switch (r.below(3)) {
+        case 0: base += r.below(static_cast<uint32_t>(spread)); break;
+        case 1: base = now; break;
+        default: base = now + kHorizon + r.below(4 * kMaxAir); break;
+      }
+    }
+
+    EXPECT_EQ(medium.stats().collisions, want_collisions);
+    EXPECT_EQ(got_handoffs, want_handoffs);
+    std::vector<uint64_t> got_rx(count);
+    for (size_t i = 0; i < count; ++i) {
+      radios[i]->dev.sync(~uint64_t(0) >> 1);
+      got_rx[i] = radios[i]->dev.rx_delivered() + radios[i]->dev.rx_overruns();
+    }
+    EXPECT_EQ(got_rx, want_rx);
+    total_collisions += want_collisions;
+    if (HasFailure()) return;
+  }
+  // The schedules exercised the rule, not just the empty case.
+  EXPECT_GT(total_collisions, total_deliveries / 20);
+  EXPECT_LT(total_collisions, total_deliveries);
+  EXPECT_GT(ties, 1000u);
 }
 
 // --- End-to-end multi-hop convergence ---------------------------------------

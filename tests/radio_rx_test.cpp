@@ -3,6 +3,10 @@
 // native loads and by translated indirect loads).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "assembler/assembler.hpp"
 #include "emu/machine.hpp"
 #include "kernel/kernel.hpp"
@@ -214,6 +218,61 @@ TEST(RadioTx, BackToBackSendsQueueAtByteSpacing) {
   ASSERT_EQ(done_cycles.size(), 2u);
   EXPECT_EQ(done_cycles[1] - done_cycles[0],
             2u * DeviceHub::kCyclesPerRadioByte);
+}
+
+TEST(RadioTx, SendMatchesPerByteStaging) {
+  // radio_send stages a whole frame with one sync and one append; the
+  // device must end up exactly where per-byte kRadioData writes plus the
+  // kRadioCtrl strobe leave it, whether the radio is idle (the frame goes
+  // on the air) or busy (it queues behind the one transmitting).
+  const std::vector<uint8_t> first{0xA5, 0x03, 0x10, 0x20, 0x30};
+  const std::vector<uint8_t> second{0x5A, 0x01, 0x77};
+  DataMemory mem_bytes, mem_send;
+  DeviceHub by_byte(mem_bytes), by_send(mem_send);
+  const auto per_byte = [&](std::span<const uint8_t> frame) {
+    for (uint8_t b : frame) by_byte.io_access(kRadioData, b, true);
+    uint8_t go = 1;
+    by_byte.io_access(kRadioCtrl, go, true);
+  };
+  const auto expect_same = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(by_send.radio_packets(), by_byte.radio_packets());
+    EXPECT_EQ(by_send.tx_done_at(), by_byte.tx_done_at());
+    uint8_t status_byte = 0, status_send = 0;
+    by_byte.io_access(kRadioStatus, status_byte, false);
+    by_send.io_access(kRadioStatus, status_send, false);
+    EXPECT_EQ(status_send, status_byte);
+  };
+
+  by_byte.sync(1'000);
+  by_send.sync(1'000);
+  per_byte(first);  // idle: straight on the air
+  by_send.radio_send(first);
+  expect_same("idle");
+  ASSERT_TRUE(by_send.tx_done_at().has_value());
+  EXPECT_EQ(*by_send.tx_done_at(),
+            1'000 + first.size() * DeviceHub::kCyclesPerRadioByte);
+
+  by_byte.sync(2'000);
+  by_send.sync(2'000);
+  per_byte(second);  // busy: queued behind the first frame
+  by_send.radio_send(second);
+  expect_same("busy");
+
+  // Both frames complete back-to-back and identically.
+  const uint64_t end =
+      1'000 + (first.size() + second.size()) * DeviceHub::kCyclesPerRadioByte;
+  by_byte.sync(end);
+  by_send.sync(end);
+  expect_same("drained");
+  ASSERT_EQ(by_send.radio_packets().size(), 2u);
+  EXPECT_EQ(by_send.radio_packets()[1], second);
+  EXPECT_FALSE(by_send.tx_done_at().has_value());
+
+  // Nothing staged: the strobe alone does nothing on either path.
+  per_byte({});
+  by_send.radio_send({});
+  expect_same("empty");
 }
 
 TEST(RadioRx, OverrunWhenTaskPollsTooSlowly) {
