@@ -8,15 +8,10 @@
 // link quality, CSMA contention with deterministic collisions and
 // peer-to-peer chunk serving — the per-node cost column is the headline:
 // with peers answering repair Nacks it stays near-flat as the network
-// grows. Every cell is a deterministic function of the chaos seed, so the
-// matrix doubles as a regression surface: --gate compares the summed star
-// completion cycles and the summed mesh gate-cell cycles against the
-// committed BENCH_dissemination.json with a 2% tolerance, and fails if
-// the mesh cost flatness ratio cpn(64 nodes) / cpn(8 nodes) at 10% loss
-// exceeds 2x.
+// grows.
 //
-// Three other modes swap the matrix; each honours only --jobs (and
-// --rollout a bare --gate), and any other flag with them is a usage error:
+// Three other modes swap the matrix; each honours only --jobs, and any
+// other flag is a usage error (exit 2):
 //
 // --recovery: a reboot-rate x loss-rate grid. Every receiver suffers k
 // seeded mid-transfer crash/reboot cycles (k = 0..2) under each loss
@@ -24,59 +19,43 @@
 //
 // --adversarial: the authentication overhead surface (DESIGN.md §11):
 // {star 8, grid 16} at 10% loss, crossed with MAC on/off and a seeded
-// hostile node on/off. Two gates ride on it: MAC-on honest runs must stay
-// within the lossless MAC-tax bound of the MAC-off completion cycles, and
-// no MAC-on cell may ever count a forged install.
+// hostile node on/off, plus a lossless honest MAC-off/on pair per topology.
 //
 // --rollout: the staged-upgrade surface (DESIGN.md §12): a fleet already
 // running an old image is upgraded wave-by-wave to the fig7 image behind
 // the health gate, crossed with wave size, loss and 0-2 seeded lemon
-// trials against a failure budget of 1. Its gates are intrinsic (no
-// committed JSON): lemon-free cells must promote every node to the
-// byte-exact new image, one lemon must roll back exactly that node while
-// the rest confirm, and two lemons must trip the budget, halt the rollout
-// and leave every node byte-exact on the old image — no cell may ever
-// leave an unconfirmed trial active.
+// trials against a failure budget of 1.
 //
-// In every matrix an honest cell (no hostile node) must converge with
-// every node's image byte-identical to the source.
+// This is a report: it prints the tables EXPERIMENTS.md cites and checks
+// nothing. Every cell is a deterministic function of the chaos seed and is
+// defined once, in dissemination_cells.hpp; the tests pin each one by
+// exact cycles and trace digest together with the properties the matrices
+// exist to show:
+//   NetDeterminism.GoldenTraceDigests     default and recovery cells, all
+//                                         converged byte-identically, and
+//                                         grid 64 vs grid 8 cost per node
+//   NetHostile.AdversarialMatrixPinned    the lossless MAC tax
+//   NetHostile.AdversarialMacUnderAttackPinned
+//                                         no forged install with MAC on
+//   NetRollout.StagedMatrixPinned         each rollout outcome
 //
-//   fig_dissemination [--smoke] [--jobs N] [--json PATH]
-//   fig_dissemination --gate [BENCH.json] [--jobs N]
-//   fig_dissemination --recovery | --adversarial [--jobs N]
-//   fig_dissemination --rollout [--gate] [--jobs N]
+//   fig_dissemination [--recovery | --adversarial | --rollout] [--jobs N]
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/treesearch.hpp"
 #include "chaos/hostile.hpp"
+#include "dissemination_cells.hpp"
 #include "host/parallel.hpp"
-#include "net/image_codec.hpp"
 #include "net/netsim.hpp"
 #include "sim/harness.hpp"
 
 using namespace sensmart;
 
 namespace {
-
-constexpr uint64_t kChaosSeed = 0x5EED;
-constexpr const char* kBenchJson = "BENCH_dissemination.json";
-
-std::vector<uint8_t> link_blob(const std::vector<assembler::Image>& images) {
-  rw::Linker linker;
-  for (const auto& img : images) linker.add(img);
-  return net::serialize_system(linker.link());
-}
-
-std::vector<uint8_t> fig7_image_blob() {
-  return link_blob(apps::fig7_mix(8, 2));
-}
 
 double radio_seconds(uint64_t cycles) {
   return double(cycles) / double(emu::kClockHz);
@@ -91,167 +70,74 @@ uint64_t sum_nodes(const net::DisseminationResult& res, T Stats::*field) {
   return v;
 }
 
-// The defaults every matrix shares. Mesh end-games ride on relayed acks
-// through a contended channel; a straggler can outlive the star-tuned
-// abandon bound, so on a mesh the base never gives up and the budget is
-// larger.
-net::NetConfig cell_config(net::TopologyKind kind, size_t nodes,
-                           uint32_t drop_pct) {
-  net::NetConfig cfg;
-  cfg.nodes = nodes;
-  cfg.link.drop_pct = drop_pct;
-  cfg.chaos_seed = kChaosSeed;
-  cfg.max_cycles = 8'000'000'000ULL;
-  cfg.topo.kind = kind;
-  if (cfg.topo.mesh()) {
-    cfg.proto.node_give_up_probes = 0;
-    cfg.max_cycles = 64'000'000'000ULL;
-  }
-  return cfg;
-}
-
-std::string describe(const net::NetConfig& cfg) {
-  std::ostringstream os;
-  os << net::to_string(cfg.topo.kind) << " nodes=" << cfg.nodes
-     << " drop=" << cfg.link.drop_pct << "%";
-  if (cfg.proto.auth) os << " mac";
-  if (cfg.hostile_node) os << " hostile=" << cfg.hostile_node;
-  if (cfg.node_faults.any())
-    os << " reboots=" << cfg.node_faults.max_crashes_per_node;
-  return os.str();
-}
-
-// Per-node failure detail for a non-converged cell: one line per
-// incomplete node with its abort reason, instead of one opaque count.
-void report_abort_reasons(const net::DisseminationResult& res) {
-  for (size_t i = 0; i < res.nodes.size(); ++i) {
-    const auto& n = res.nodes[i];
-    if (n.complete) continue;
-    std::cerr << "  node " << i + 1 << ": "
-              << net::to_string(n.abort_reason)
-              << (n.abandoned ? " (abandoned by base)" : "")
-              << ", " << n.data_rx << " chunks rx, " << n.nacks_sent
-              << " nacks\n";
-  }
-  if (res.budget_exhausted) std::cerr << "  (cycle budget exhausted)\n";
-}
-
+// One matrix cell: the config that ran and what it produced. A
+// dissemination cell fills only `run.dissem`; a rollout cell fills all of
+// `run`.
 struct Cell {
   net::NetConfig cfg;
-  net::DisseminationResult res;
+  uint32_t lemons = 0;  // seeded lemon trials (rollout cells)
+  net::RolloutResult run;
   uint32_t forged_installs = 0;  // honest nodes done with foreign bytes
 
+  const net::DisseminationResult& res() const { return run.dissem; }
   const char* topo() const { return net::to_string(cfg.topo.kind); }
   bool hostile() const { return cfg.hostile_node != 0; }
   uint64_t cycles_per_node() const {
-    return res.cycles / (cfg.nodes ? cfg.nodes : 1);
+    return res().cycles / (cfg.nodes ? cfg.nodes : 1);
   }
 };
 
-// One dissemination run; exits the bench on a gate violation. Every cell
-// must end before its cycle budget. An honest cell must also converge
-// with byte-identical images; a cell with a hostile node (its seeded
-// attacker attached here) instead counts the forged installs.
+// One dissemination run; a cell with a hostile node (its seeded attacker
+// attached here) counts the honest nodes that completed on foreign bytes.
 Cell run_cell(const std::vector<uint8_t>& blob, const net::NetConfig& cfg) {
-  Cell c{cfg, {}, 0};
+  Cell c{cfg, 0, {}, 0};
   std::optional<chaos::HostileNode> attacker;
-  if (c.hostile()) {
-    chaos::HostileProfile p;
-    p.seed = 0xD15EA5E;
-    p.node = cfg.hostile_node;
-    p.nodes = static_cast<uint16_t>(cfg.nodes);
-    p.chunk_payload = cfg.proto.chunk_payload;
-    p.intensity_pct = 35;
-    attacker.emplace(p);
-  }
+  if (c.hostile()) attacker.emplace(dissem::attacker_profile(cfg));
   net::NetSim sim(cfg, blob);
   if (attacker) sim.set_hostile_model(&*attacker);
-  c.res = sim.disseminate();
-
-  auto fail = [&](const std::string& why) {
-    std::cerr << "fig_dissemination: cell " << describe(cfg) << " " << why
-              << "\n";
-    report_abort_reasons(c.res);
-    std::exit(1);
-  };
-  if (c.res.budget_exhausted) fail("exhausted the cycle budget");
-  if (!c.hostile() && !c.res.all_acked) fail("did not converge");
-  for (size_t id = 1; id <= cfg.nodes; ++id) {
-    if (id == cfg.hostile_node || sim.node_blob(id) == blob) continue;
-    if (!c.hostile())
-      fail("node " + std::to_string(id) + " image not byte-identical");
-    if (sim.node_complete(id)) ++c.forged_installs;
-  }
+  c.run.dissem = sim.disseminate();
+  for (size_t id = 1; id <= cfg.nodes; ++id)
+    if (id != cfg.hostile_node && sim.node_blob(id) != blob &&
+        sim.node_complete(id))
+      ++c.forged_installs;
   return c;
 }
 
 // Each cell is an independent deterministic simulation; a matrix is
 // identical for any --jobs value.
+template <class Fn>
+std::vector<Cell> run_cells(size_t n, unsigned jobs, Fn&& fn) {
+  return host::sweep_collect<Cell>(n, host::effective_jobs(jobs, n), fn);
+}
+
 std::vector<Cell> run_cells(const std::vector<uint8_t>& blob,
                             const std::vector<net::NetConfig>& cfgs,
                             unsigned jobs) {
-  return host::sweep_collect<Cell>(
-      cfgs.size(), host::effective_jobs(jobs, cfgs.size()),
-      [&](std::size_t i) { return run_cell(blob, cfgs[i]); });
-}
-
-std::vector<net::NetConfig> star_matrix(const std::vector<size_t>& node_counts,
-                                        const std::vector<uint32_t>& drops) {
-  std::vector<net::NetConfig> cfgs;
-  for (size_t n : node_counts)
-    for (uint32_t d : drops)
-      cfgs.push_back(cell_config(net::TopologyKind::Star, n, d));
-  return cfgs;
-}
-
-// The mesh matrix: placements x sizes x loss. The grid 8/64 pair at 10%
-// loss is the flatness surface --gate checks.
-std::vector<net::NetConfig> mesh_matrix(bool smoke) {
-  using net::TopologyKind;
-  if (smoke) return {cell_config(TopologyKind::Grid, 8, 10)};
-  return {
-      cell_config(TopologyKind::Line, 8, 10),
-      cell_config(TopologyKind::Random, 12, 10),
-      cell_config(TopologyKind::Grid, 8, 0),
-      cell_config(TopologyKind::Grid, 8, 10),
-      cell_config(TopologyKind::Grid, 24, 10),
-      cell_config(TopologyKind::Grid, 64, 10),
-  };
+  return run_cells(cfgs.size(), jobs,
+                   [&](std::size_t i) { return run_cell(blob, cfgs[i]); });
 }
 
 // Recovery matrix (--recovery): fixed 4-node network, every receiver
 // crashes and reboots k times mid-transfer (seeded, store preserved),
-// crossed with the loss rates. A reboot is an outage, not a death
-// sentence, so every cell must still converge.
+// crossed with the loss rates.
 int run_recovery(const std::vector<uint8_t>& blob, unsigned jobs) {
-  std::vector<net::NetConfig> cfgs;
-  for (uint32_t k : {0u, 1u, 2u}) {
-    for (uint32_t d : {0u, 10u, 25u}) {
-      net::NetConfig cfg = cell_config(net::TopologyKind::Star, 4, d);
-      cfg.node_faults.crash_pct = k > 0 ? 100 : 0;  // every node, k times
-      cfg.node_faults.max_crashes_per_node = k;
-      cfg.node_faults.down_min_bytes = 256;
-      cfg.node_faults.down_max_bytes = 2048;
-      cfgs.push_back(cfg);
-    }
-  }
-  const auto cells = run_cells(blob, cfgs, jobs);
-
+  const auto cells = run_cells(blob, dissem::recovery_matrix(), jobs);
   std::cout << "Dissemination under node crash/reboot faults (4 nodes, "
-            << blob.size() << " bytes, " << cells[0].res.total_chunks
+            << blob.size() << " bytes, " << cells[0].res().total_chunks
             << " chunks; every node reboots k times mid-transfer)\n\n";
   sim::Table t({"Reboots/node", "Drop%", "Time(s)", "Crashes", "Resumed",
                 "Retx", "StoreWrites", "Converged"},
                13);
   for (const Cell& c : cells) {
+    const net::DisseminationResult& r = c.res();
     t.row({sim::Table::num(uint64_t(c.cfg.node_faults.max_crashes_per_node)),
            sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
-           sim::Table::num(radio_seconds(c.res.cycles), 2),
-           sim::Table::num(sum_nodes(c.res, &Stats::crashes)),
-           sim::Table::num(sum_nodes(c.res, &Stats::resumed_chunks)),
-           sim::Table::num(c.res.base.retransmissions),
-           sim::Table::num(sum_nodes(c.res, &Stats::store_writes)),
-           c.res.all_acked ? "yes" : "NO"});
+           sim::Table::num(radio_seconds(r.cycles), 2),
+           sim::Table::num(sum_nodes(r, &Stats::crashes)),
+           sim::Table::num(sum_nodes(r, &Stats::resumed_chunks)),
+           sim::Table::num(r.base.retransmissions),
+           sim::Table::num(sum_nodes(r, &Stats::store_writes)),
+           r.all_acked ? "yes" : "NO"});
   }
   t.print();
   std::cout
@@ -270,107 +156,32 @@ int run_recovery(const std::vector<uint8_t>& blob, unsigned jobs) {
 // the authentication tax; the hostile cells show what an attacker costs a
 // defended fleet (and what it wins against an undefended one).
 
-net::NetConfig adv_config(net::TopologyKind kind, size_t nodes,
-                          uint32_t drop_pct, bool auth, bool hostile) {
-  net::NetConfig cfg = cell_config(kind, nodes, drop_pct);
-  cfg.proto.auth = auth;
-  if (hostile) {
-    cfg.hostile_node = kind == net::TopologyKind::Star ? 3 : 5;
-    // Attacked mesh cells need a finite abandon bound — the hostile node
-    // never Acks, so without one the run could only end at the cycle
-    // budget. The bound is generous enough that honest stragglers revive
-    // (any frame revives an abandoned node) and finish; the MAC-overhead
-    // gate only compares the honest cells, which share a config.
-    if (cfg.topo.mesh()) cfg.proto.node_give_up_probes = 96;
-  }
-  return cfg;
-}
-
 int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
-  struct Scenario {
-    net::TopologyKind kind;
-    size_t nodes;
-  };
-  const std::vector<Scenario> scenarios = {{net::TopologyKind::Star, 8},
-                                           {net::TopologyKind::Grid, 16}};
-  // The 10%-loss matrix crossed with MAC and hostile, plus one lossless
-  // honest MAC-on/off pair per scenario: at 0% loss the runs are fully
-  // deterministic, so that pair measures the pure authentication tax —
-  // at 10% loss the tag bytes shift frame timing against the seeded drop
-  // rolls and the alignment luck (±5%) buries the tax (~0.3%).
-  std::vector<net::NetConfig> cfgs;
-  for (const Scenario& s : scenarios) {
-    for (bool auth : {false, true})
-      for (bool hostile : {false, true})
-        cfgs.push_back(adv_config(s.kind, s.nodes, 10, auth, hostile));
-    for (bool auth : {false, true})
-      cfgs.push_back(adv_config(s.kind, s.nodes, 0, auth, false));
-  }
-  const auto cells = run_cells(blob, cfgs, jobs);
+  const auto cells = run_cells(blob, dissem::adversarial_matrix(), jobs);
 
   std::cout << "Authentication overhead and hostile-node cost ("
-            << blob.size() << " bytes, " << cells[0].res.total_chunks
+            << blob.size() << " bytes, " << cells[0].res().total_chunks
             << " chunks; attacker intensity 35%)\n\n";
   sim::Table t({"Topo", "Nodes", "Drop%", "MAC", "Hostile", "Time(s)", "Mcyc",
                 "AirBytes", "Done", "Gaveup", "Forged", "MacRej", "AckRej",
                 "Squelch"},
                11);
   for (const Cell& c : cells) {
+    const net::DisseminationResult& r = c.res();
     t.row({c.topo(), sim::Table::num(uint64_t(c.cfg.nodes)),
            sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
            c.cfg.proto.auth ? "on" : "off", c.hostile() ? "on" : "off",
-           sim::Table::num(radio_seconds(c.res.cycles), 2),
-           sim::Table::num(double(c.res.cycles) / 1e6, 1),
-           sim::Table::num(c.res.medium.bytes_on_air),
-           sim::Table::num(uint64_t(c.res.complete_count)),
-           sim::Table::num(uint64_t(c.res.abandoned_count)),
+           sim::Table::num(radio_seconds(r.cycles), 2),
+           sim::Table::num(double(r.cycles) / 1e6, 1),
+           sim::Table::num(r.medium.bytes_on_air),
+           sim::Table::num(uint64_t(r.complete_count)),
+           sim::Table::num(uint64_t(r.abandoned_count)),
            sim::Table::num(uint64_t(c.forged_installs)),
-           sim::Table::num(sum_nodes(c.res, &Stats::auth_rejects)),
-           sim::Table::num(c.res.base.acks_rejected),
-           sim::Table::num(c.res.base.frames_squelched)});
+           sim::Table::num(sum_nodes(r, &Stats::auth_rejects)),
+           sim::Table::num(r.base.acks_rejected),
+           sim::Table::num(r.base.frames_squelched)});
   }
   t.print();
-
-  // Gate 1: authentication must never let a forged install through.
-  // Gate 2: the MAC tax on honest lossless runs. On a star the tag bytes
-  // disappear into data traffic (129 40-byte chunks vs one longer Summary
-  // and eight longer Acks): ±2%. On a mesh the control plane is the cost —
-  // Summary re-floods and hop-by-hop Ack relays are small frames that the
-  // 8-byte tag inflates by 38-73% each, so the honest bound is looser; the
-  // gate pins it from growing past 25% rather than pretending it is free.
-  bool ok = true;
-  for (const Cell& c : cells) {
-    if (c.cfg.proto.auth && c.forged_installs > 0) {
-      std::cerr << "fig_dissemination: FAIL — " << c.forged_installs
-                << " forged install(s) on " << c.topo() << " with MAC on\n";
-      ok = false;
-    }
-  }
-  auto honest_cycles = [&](const Scenario& s, bool auth) -> uint64_t {
-    for (const Cell& c : cells)
-      if (c.cfg.topo.kind == s.kind && c.cfg.proto.auth == auth &&
-          !c.hostile() && c.cfg.link.drop_pct == 0)
-        return c.res.cycles;
-    return 0;
-  };
-  for (const Scenario& s : scenarios) {
-    const uint64_t off = honest_cycles(s, false);
-    const uint64_t on = honest_cycles(s, true);
-    const double drift = double(on) / double(off) - 1.0;
-    const double bound = s.kind == net::TopologyKind::Star ? 0.02 : 0.25;
-    std::cout << "adversarial gate [mac overhead, " << net::to_string(s.kind)
-              << " lossless]: " << on << " vs " << off << " cycles ("
-              << sim::Table::num(100.0 * drift, 2) << "% drift, tolerance ±"
-              << sim::Table::num(100.0 * bound, 0) << "%)\n";
-    if (drift > bound || drift < -bound) {
-      std::cerr << "fig_dissemination: FAIL — MAC overhead beyond "
-                << sim::Table::num(100.0 * bound, 0) << "% on "
-                << net::to_string(s.kind) << "\n";
-      ok = false;
-    }
-  }
-  if (!ok) return 1;
-  std::cout << "adversarial gates: OK\n";
   return 0;
 }
 
@@ -379,150 +190,36 @@ int run_adversarial(const std::vector<uint8_t>& blob, unsigned jobs) {
 // wave-by-wave to the fig7 image under authentication, crossed with wave
 // size, loss rate and seeded lemon count against a failure budget of 1.
 
-// The image the fleet runs before the upgrade: a smaller system so old and
-// new blobs are guaranteed distinct end-to-end.
-std::vector<uint8_t> old_image_blob() {
-  apps::TreeSearchParams p;
-  p.nodes_per_tree = 6;
-  p.trees = 1;
-  p.searches = 16;
-  p.seed = 0x0101;
-  return link_blob({apps::tree_search_program(p)});
-}
-
-struct RolloutCell {
-  net::NetConfig cfg;
-  uint32_t lemons = 0;
-  net::RolloutResult res;
-  std::vector<std::string> failures;  // intrinsic gate violations
-};
-
-RolloutCell run_rollout_cell(const std::vector<uint8_t>& new_blob,
-                             const std::vector<uint8_t>& old_blob,
-                             net::TopologyKind kind, size_t nodes,
-                             uint32_t drop_pct, uint32_t wave_size,
-                             uint32_t lemons) {
-  RolloutCell c;
-  c.cfg = cell_config(kind, nodes, drop_pct);
-  c.cfg.proto.auth = true;  // control and health frames ride keyed tags
-  c.cfg.rollout.enabled = true;
-  c.cfg.rollout.wave_size = wave_size;
-  c.cfg.rollout.failure_budget = 1;
-  c.lemons = lemons;
-  // Seeded lemons: the first trips the supervision gate mid-probation, the
-  // second crash-loops. With budget 1, one is absorbed (rolled back alone),
-  // two halt the rollout and roll the whole fleet back.
-  const uint16_t lemon_a = kind == net::TopologyKind::Star ? 3 : 6;
-  const uint16_t lemon_b = kind == net::TopologyKind::Star ? 6 : 11;
-  net::NetSim sim(c.cfg, new_blob);
-  sim.set_initial_image(old_blob, 0);
-  if (lemons >= 1) {
-    net::TrialBehavior b;
-    b.kind = net::TrialBehavior::Kind::Runaway;
-    b.at_pct = 40;
-    b.quarantines = 1;
-    sim.set_trial_behavior(lemon_a, b);
-  }
-  if (lemons >= 2) {
-    net::TrialBehavior b;
-    b.kind = net::TrialBehavior::Kind::CrashBoot;
-    b.at_pct = 60;
-    b.down_bytes = 512;
-    sim.set_trial_behavior(lemon_b, b);
-  }
-  c.res = sim.rollout();
-
-  // Intrinsic gates, evaluated per cell while the fleet state is live.
-  auto fail = [&](const std::string& why) { c.failures.push_back(why); };
-  if (!c.res.dissem.all_acked) {
-    fail("dissemination did not converge");
-    return c;
-  }
-  auto active_is = [&](size_t id, const std::vector<uint8_t>& blob) {
-    const emu::ImageStore& st = sim.node_store(static_cast<uint16_t>(id));
-    const emu::ImageSlot& slot = st.slots[st.active_slot];
-    return slot.state == emu::SlotState::Confirmed && slot.image == blob;
-  };
-  for (size_t id = 1; id <= nodes; ++id)
-    if (c.res.nodes[id].trial_left_active)
-      fail("node " + std::to_string(id) + " left a trial active");
-  if (c.res.health_rejected > 0)
-    fail("honest health reports rejected at the MAC gate");
-  if (lemons == 0) {
-    if (!c.res.complete || c.res.confirmed != nodes)
-      fail("lemon-free cell did not promote the whole fleet");
-    for (size_t id = 1; id <= nodes; ++id)
-      if (!active_is(id, new_blob))
-        fail("node " + std::to_string(id) + " not on the new image");
-  } else if (lemons == 1) {
-    if (c.res.halted) fail("one lemon must fit the failure budget");
-    if (!active_is(lemon_a, old_blob))
-      fail("lemon node not rolled back to the old image");
-    for (size_t id = 1; id <= nodes; ++id)
-      if (id != lemon_a && !active_is(id, new_blob))
-        fail("node " + std::to_string(id) + " not on the new image");
-  } else {
-    if (!c.res.halted) fail("two lemons must exceed the failure budget");
-    for (size_t id = 1; id <= nodes; ++id)
-      if (!active_is(id, old_blob))
-        fail("node " + std::to_string(id) +
-             " not byte-exact on the old image after the halt");
-  }
-  return c;
-}
-
 int run_rollout_matrix(unsigned jobs) {
-  const auto new_blob = fig7_image_blob();
-  const auto old_blob = old_image_blob();
-  struct RollSpec {
-    net::TopologyKind kind;
-    size_t nodes;
-    uint32_t drop;
-    uint32_t wave;
-    uint32_t lemons;
-  };
-  std::vector<RollSpec> specs;
-  for (uint32_t wave : {2u, 4u})
-    for (uint32_t drop : {0u, 10u})
-      for (uint32_t lemons : {0u, 1u, 2u})
-        specs.push_back({net::TopologyKind::Star, 8, drop, wave, lemons});
-  for (uint32_t drop : {0u, 10u})
-    for (uint32_t lemons : {0u, 2u})
-      specs.push_back({net::TopologyKind::Grid, 16, drop, 4, lemons});
-
-  const auto cells = host::sweep_collect<RolloutCell>(
-      specs.size(), host::effective_jobs(jobs, specs.size()),
-      [&](std::size_t i) {
-        const RollSpec& s = specs[i];
-        return run_rollout_cell(new_blob, old_blob, s.kind, s.nodes, s.drop,
-                                s.wave, s.lemons);
-      });
+  const auto new_blob = dissem::fig7_image_blob();
+  const auto old_blob = dissem::old_image_blob();
+  const auto specs = dissem::rollout_matrix();
+  const auto cells = run_cells(specs.size(), jobs, [&](std::size_t i) {
+    const dissem::RolloutSpec& s = specs[i];
+    Cell c{s.cfg, uint32_t(s.lemons.size()), {}, 0};
+    net::NetSim sim(s.cfg, new_blob);
+    dissem::prepare_rollout(sim, s, old_blob);
+    c.run = sim.rollout();
+    return c;
+  });
 
   std::cout << "Health-gated staged rollout (old " << old_blob.size()
             << " B -> new " << new_blob.size()
             << " B, MAC on, failure budget 1)\n\n";
   sim::Table t({"Topo", "Nodes", "Drop%", "WaveSz", "Lemons", "Time(s)",
-                "Waves", "Conf", "RolledBk", "Gaveup", "Halted", "Gates"},
+                "Waves", "Conf", "RolledBk", "Gaveup", "Halted"},
                10);
-  bool ok = true;
-  for (const RolloutCell& c : cells) {
-    t.row({net::to_string(c.cfg.topo.kind),
-           sim::Table::num(uint64_t(c.cfg.nodes)),
+  for (const Cell& c : cells) {
+    t.row({c.topo(), sim::Table::num(uint64_t(c.cfg.nodes)),
            sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
            sim::Table::num(uint64_t(c.cfg.rollout.wave_size)),
            sim::Table::num(uint64_t(c.lemons)),
-           sim::Table::num(radio_seconds(c.res.cycles), 2),
-           sim::Table::num(uint64_t(c.res.waves)),
-           sim::Table::num(uint64_t(c.res.confirmed)),
-           sim::Table::num(uint64_t(c.res.rolled_back)),
-           sim::Table::num(uint64_t(c.res.gave_up)),
-           c.res.halted ? "yes" : "no", c.failures.empty() ? "ok" : "FAIL"});
-    for (const std::string& f : c.failures) {
-      std::cerr << "fig_dissemination: rollout cell " << describe(c.cfg)
-                << " wave=" << c.cfg.rollout.wave_size
-                << " lemons=" << c.lemons << ": " << f << "\n";
-      ok = false;
-    }
+           sim::Table::num(radio_seconds(c.run.cycles), 2),
+           sim::Table::num(uint64_t(c.run.waves)),
+           sim::Table::num(uint64_t(c.run.confirmed)),
+           sim::Table::num(uint64_t(c.run.rolled_back)),
+           sim::Table::num(uint64_t(c.run.gave_up)),
+           c.run.halted ? "yes" : "no"});
   }
   t.print();
   std::cout
@@ -532,23 +229,11 @@ int run_rollout_matrix(unsigned jobs) {
          "the budget, halt the rollout and roll every upgraded node back —\n"
          "the fleet ends byte-exact on the old image, never on a wedged\n"
          "half-trial.\n";
-  if (!ok) {
-    std::cerr << "fig_dissemination: FAIL — rollout gates violated\n";
-    return 1;
-  }
-  std::cout << "rollout gates: OK\n";
   return 0;
 }
 
-// --- Default matrix and its regression gate ----------------------------------
+// --- Default matrix ----------------------------------------------------------
 
-uint64_t total_cycles(const std::vector<Cell>& cells) {
-  uint64_t t = 0;
-  for (const auto& c : cells) t += c.res.cycles;
-  return t;
-}
-
-// Mesh gate surface: the flatness pair (grid 8 and grid 64 at 10% loss).
 const Cell* find_grid_cell(const std::vector<Cell>& cells, size_t nodes) {
   for (const Cell& c : cells)
     if (c.cfg.topo.kind == net::TopologyKind::Grid && c.cfg.nodes == nodes &&
@@ -557,84 +242,34 @@ const Cell* find_grid_cell(const std::vector<Cell>& cells, size_t nodes) {
   return nullptr;
 }
 
-double flatness_ratio(const std::vector<Cell>& mesh) {
-  const Cell* small = find_grid_cell(mesh, 8);
-  const Cell* big = find_grid_cell(mesh, 64);
+double flatness_ratio(const std::vector<Cell>& cells) {
+  const Cell* small = find_grid_cell(cells, 8);
+  const Cell* big = find_grid_cell(cells, 64);
   if (!small || !big) return 0.0;
   return double(big->cycles_per_node()) / double(small->cycles_per_node());
 }
 
-void emit_json(std::ostream& os, bool smoke, size_t image_bytes,
-               const std::vector<Cell>& cells,
-               const std::vector<Cell>& mesh) {
-  os << "{\n";
-  os << "  \"schema\": \"sensmart.bench.dissemination/1\",\n";
-  os << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
-  os << "  \"chaos_seed\": " << kChaosSeed << ",\n";
-  os << "  \"image_bytes\": " << image_bytes << ",\n";
-  os << "  \"cells\": [\n";
-  std::vector<const Cell*> all;
-  for (const Cell& c : cells) all.push_back(&c);
-  for (const Cell& c : mesh) all.push_back(&c);
-  for (size_t i = 0; i < all.size(); ++i) {
-    const Cell& c = *all[i];
-    os << "    {\"topology\": \"" << c.topo() << "\", \"nodes\": "
-       << c.cfg.nodes << ", \"drop_pct\": " << c.cfg.link.drop_pct
-       << ", \"cycles\": " << c.res.cycles
-       << ", \"cycles_per_node\": " << c.cycles_per_node()
-       << ", \"bytes_on_air\": " << c.res.medium.bytes_on_air
-       << ", \"rx_bytes\": " << sum_nodes(c.res, &Stats::bytes_rx)
-       << ", \"nacks\": " << sum_nodes(c.res, &Stats::nacks_sent)
-       << ", \"retransmissions\": " << c.res.base.retransmissions
-       << ", \"chunks_served\": " << sum_nodes(c.res, &Stats::chunks_served)
-       << ", \"collisions\": " << c.res.medium.collisions
-       << ", \"trace_digest\": " << c.res.trace_digest << "}"
-       << (i + 1 < all.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  // The deterministic regression surface (--gate compares this):
-  // total_cycles sums the star matrix, mesh_gate_cycles the grid 8/64
-  // flatness pair at 10% loss.
-  uint64_t mesh_gate = 0;
-  for (size_t n : {8u, 64u})
-    if (const Cell* c = find_grid_cell(mesh, n)) mesh_gate += c->res.cycles;
-  os << "  \"guest\": {\n";
-  os << "    \"total_cycles\": " << total_cycles(cells) << ",\n";
-  os << "    \"mesh_gate_cycles\": " << mesh_gate << ",\n";
-  os << "    \"mesh_flatness_64v8\": "
-     << sim::Table::num(flatness_ratio(mesh), 3) << "\n";
-  os << "  }\n";
-  os << "}\n";
-}
-
-int run_matrix(bool smoke, const std::string& json_path, unsigned jobs) {
-  const auto blob = fig7_image_blob();
-  const auto cells =
-      run_cells(blob,
-                smoke ? star_matrix({2, 4}, {0, 10})
-                      : star_matrix({2, 4, 8, 16}, {0, 10, 25}),
-                jobs);
-  const auto mesh = run_cells(blob, mesh_matrix(smoke), jobs);
+int run_matrix(const std::vector<uint8_t>& blob, unsigned jobs) {
+  const auto cells = run_cells(blob, dissem::default_matrix(), jobs);
 
   std::cout << "Over-the-air dissemination of the naturalized fig7 image ("
-            << blob.size() << " bytes, " << cells[0].res.total_chunks
+            << blob.size() << " bytes, " << cells[0].res().total_chunks
             << " chunks)\n\n";
   sim::Table t({"Topo", "Nodes", "Drop%", "Time(s)", "Mcyc/node", "AirBytes",
                 "RxBytes/node", "Nacks", "Retx", "Served", "Coll"},
                13);
-  for (const auto* part : {&cells, &mesh}) {
-    for (const Cell& c : *part) {
-      t.row({c.topo(), sim::Table::num(uint64_t(c.cfg.nodes)),
-             sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
-             sim::Table::num(radio_seconds(c.res.cycles), 2),
-             sim::Table::num(double(c.cycles_per_node()) / 1e6, 2),
-             sim::Table::num(c.res.medium.bytes_on_air),
-             sim::Table::num(sum_nodes(c.res, &Stats::bytes_rx) / c.cfg.nodes),
-             sim::Table::num(sum_nodes(c.res, &Stats::nacks_sent)),
-             sim::Table::num(c.res.base.retransmissions),
-             sim::Table::num(sum_nodes(c.res, &Stats::chunks_served)),
-             sim::Table::num(c.res.medium.collisions)});
-    }
+  for (const Cell& c : cells) {
+    const net::DisseminationResult& r = c.res();
+    t.row({c.topo(), sim::Table::num(uint64_t(c.cfg.nodes)),
+           sim::Table::num(uint64_t(c.cfg.link.drop_pct)),
+           sim::Table::num(radio_seconds(r.cycles), 2),
+           sim::Table::num(double(c.cycles_per_node()) / 1e6, 2),
+           sim::Table::num(r.medium.bytes_on_air),
+           sim::Table::num(sum_nodes(r, &Stats::bytes_rx) / c.cfg.nodes),
+           sim::Table::num(sum_nodes(r, &Stats::nacks_sent)),
+           sim::Table::num(r.base.retransmissions),
+           sim::Table::num(sum_nodes(r, &Stats::chunks_served)),
+           sim::Table::num(r.medium.collisions)});
   }
   t.print();
   std::cout
@@ -645,88 +280,14 @@ int run_matrix(bool smoke, const std::string& json_path, unsigned jobs) {
          "add serialization delay. On mesh topologies peers answer repair\n"
          "Nacks with chunks they already hold (Served), so cycles per node\n"
          "stays near-flat as the grid grows: "
-      << sim::Table::num(flatness_ratio(mesh), 2)
+      << sim::Table::num(flatness_ratio(cells), 2)
       << "x from 8 to 64 nodes at 10% loss.\n";
-
-  std::ofstream js(json_path);
-  if (!js) {
-    std::cerr << "fig_dissemination: cannot write " << json_path << "\n";
-    return 1;
-  }
-  emit_json(js, smoke, blob.size(), cells, mesh);
-  std::cout << "wrote " << json_path << "\n";
-  return 0;
-}
-
-uint64_t committed_u64(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  size_t at = text.find("\"guest\"");
-  if (at == std::string::npos) return 0;
-  const std::string key = "\"" + name + "\": ";
-  at = text.find(key, at);
-  if (at == std::string::npos) return 0;
-  return std::strtoull(text.c_str() + at + key.size(), nullptr, 10);
-}
-
-bool check_drift(const char* what, uint64_t current, uint64_t committed) {
-  constexpr double kTolerance = 0.02;
-  const double drift = double(current) / double(committed) - 1.0;
-  std::cout << "dissemination gate [" << what << "]: current " << current
-            << " vs committed " << committed << " ("
-            << sim::Table::num(100.0 * drift, 2)
-            << "% drift, tolerance ±2%)\n";
-  return drift <= kTolerance && drift >= -kTolerance;
-}
-
-// CI regression gate: recompute the star matrix and the mesh flatness
-// pair (both deterministic) and fail on more than 2% drift in summed
-// completion cycles against the committed BENCH_dissemination.json, or on
-// a mesh per-node cost ratio cpn(grid 64) / cpn(grid 8) above 2x at 10%
-// loss — the property the peer-serving protocol exists to deliver.
-int run_gate(const std::string& path, unsigned jobs) {
-  constexpr double kFlatnessBound = 2.0;
-  const uint64_t committed = committed_u64(path, "total_cycles");
-  const uint64_t committed_mesh = committed_u64(path, "mesh_gate_cycles");
-  if (committed == 0 || committed_mesh == 0) {
-    std::cerr << "fig_dissemination: no committed total_cycles / "
-                 "mesh_gate_cycles in " << path << "\n";
-    return 2;
-  }
-  const auto blob = fig7_image_blob();
-  const auto cells =
-      run_cells(blob, star_matrix({2, 4, 8, 16}, {0, 10, 25}), jobs);
-  const auto mesh =
-      run_cells(blob,
-                {cell_config(net::TopologyKind::Grid, 8, 10),
-                 cell_config(net::TopologyKind::Grid, 64, 10)},
-                jobs);
-  bool ok = check_drift("star", total_cycles(cells), committed);
-  ok &= check_drift("mesh", total_cycles(mesh), committed_mesh);
-  const double flat = flatness_ratio(mesh);
-  std::cout << "dissemination gate [flatness]: cpn(grid64@10) / "
-               "cpn(grid8@10) = " << sim::Table::num(flat, 3)
-            << " (bound " << sim::Table::num(kFlatnessBound, 1) << ")\n";
-  if (flat <= 0.0 || flat > kFlatnessBound) ok = false;
-  if (!ok) {
-    std::cerr << "fig_dissemination: FAIL — dissemination cost drifted "
-                 "beyond 2% or mesh per-node cost lost its flatness; if "
-                 "the protocol change is intentional, refresh "
-                 "BENCH_dissemination.json and the golden trace digests in "
-                 "the same commit\n";
-    return 1;
-  }
-  std::cout << "dissemination gate: OK\n";
   return 0;
 }
 
 int usage() {
-  std::cerr << "usage: fig_dissemination [--smoke] [--recovery | "
-               "--adversarial | --rollout] [--jobs N] [--json PATH] "
-               "[--gate [BENCH.json]]\n";
+  std::cerr << "usage: fig_dissemination [--recovery | --adversarial | "
+               "--rollout] [--jobs N]\n";
   return 2;
 }
 
@@ -734,45 +295,21 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string mode;  // "", "--recovery", "--adversarial" or "--rollout"
-  bool smoke = false;
-  bool gate = false;
   unsigned jobs = 1;
-  std::string json_path;
-  std::string gate_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--recovery" || arg == "--adversarial" || arg == "--rollout") {
       if (!mode.empty()) return usage();  // the modes are exclusive
       mode = arg;
-    } else if (arg == "--smoke") {
-      smoke = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--gate") {
-      // The path operand is optional (defaults to the committed JSON), so
-      // `--rollout --gate` works without one: only consume the next arg if
-      // it exists and is not itself a flag.
-      gate = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') gate_path = argv[++i];
     } else {
       return usage();
     }
   }
-  // --smoke and --json shape the default matrix only; --gate replaces it.
-  const bool matrix_flags = smoke || !json_path.empty();
-  if (mode.empty()) {
-    if (gate && matrix_flags) return usage();
-    if (gate) return run_gate(gate_path.empty() ? kBenchJson : gate_path, jobs);
-    return run_matrix(smoke, json_path.empty() ? kBenchJson : json_path, jobs);
-  }
-  // The other matrices honour only --jobs; --rollout's gates are intrinsic,
-  // so it also accepts a bare --gate.
-  if (matrix_flags || !gate_path.empty() || (gate && mode != "--rollout"))
-    return usage();
   if (mode == "--rollout") return run_rollout_matrix(jobs);
-  const auto blob = fig7_image_blob();
-  return mode == "--recovery" ? run_recovery(blob, jobs)
-                              : run_adversarial(blob, jobs);
+  const auto blob = dissem::fig7_image_blob();
+  if (mode == "--recovery") return run_recovery(blob, jobs);
+  if (mode == "--adversarial") return run_adversarial(blob, jobs);
+  return run_matrix(blob, jobs);
 }

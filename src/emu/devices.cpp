@@ -67,16 +67,19 @@ void DeviceHub::sync(uint64_t now) {
 
   if (now >= rx_next_at_) rx_arrive(now);
 
-  // Radio transmit completion(s): hand the finished packet over (record +
-  // medium sink) and start the next queued send back-to-back — its bytes
-  // go on air at kCyclesPerRadioByte spacing from the completion cycle.
+  // Radio transmit completion(s): hand the finished packet over (to the
+  // medium sink, or to the send log when there is none) and start the next
+  // queued send back-to-back — its bytes go on air at kCyclesPerRadioByte
+  // spacing from the completion cycle.
   while (radio_done_at_ && now >= *radio_done_at_) {
     const uint64_t done = *radio_done_at_;
     radio_done_at_.reset();
-    radio_sent_.push_back(std::move(tx_inflight_));
-    tx_inflight_.clear();
     radio_irq_flag_ = true;
-    if (tx_sink_) tx_sink_(radio_sent_.back(), done);
+    if (tx_sink_)
+      tx_sink_(tx_inflight_, done);
+    else
+      radio_sent_.push_back(std::move(tx_inflight_));
+    tx_inflight_.clear();
     if (!tx_queue_.empty()) {
       tx_inflight_ = std::move(tx_queue_.front());
       tx_queue_.pop_front();
@@ -338,11 +341,11 @@ void DeviceHub::reboot() {
   // The kernel health mirror dies with the power rail — a rollout health
   // report covers exactly one boot (DESIGN.md §12).
   health_ = HealthCounters{};
-  // image_store_, host_out_, radio_sent_, and the counters survive: the
-  // store is non-volatile, the rest are observer-side logs. The store is
-  // round-tripped through the on-flash codec every power cycle so the
-  // format is exercised on the exact path a real bootloader reads it, then
-  // the bootloader's trial decision runs.
+  // image_store_, host_out_, the sink-less send log (radio_sent_) and the
+  // counters survive: the store is non-volatile, the rest are observer-side
+  // logs. The store is round-tripped through the on-flash codec every power
+  // cycle so the format is exercised on the exact path a real bootloader
+  // reads it, then the bootloader's trial decision runs.
   std::vector<uint8_t> page = serialize_image_store(image_store_);
   ImageStore fresh;
   if (deserialize_image_store(page, fresh)) {

@@ -186,9 +186,11 @@ class DeviceHub {
 
   // TX hand-off to a transmission medium (the multi-node simulator): called
   // once per completed packet with the sent bytes and the cycle at which
-  // the last byte left the air. Completed packets are still recorded in
-  // radio_packets() regardless. Per-packet, not per-byte, so the
-  // std::function indirection is off the emulation hot path.
+  // the last byte left the air. With a sink set the packet goes only to
+  // the sink; radio_packets() records sends only when no sink is set, so a
+  // fleet's memory does not grow with its airtime. Per-packet, not
+  // per-byte, so the std::function indirection is off the emulation hot
+  // path.
   using TxSink = std::function<void(std::span<const uint8_t>, uint64_t)>;
   void set_tx_sink(TxSink sink) { tx_sink_ = std::move(sink); }
 

@@ -14,16 +14,24 @@
 //                 spoofing), the seeded HostileNode repertoire against star
 //                 and grid fleets (survive, classify every honest node,
 //                 never install a forgery, replay byte-identically), quota
-//                 squelching of Nack floods, and a 32-seed termination and
-//                 replay property for adversarial runs.
+//                 squelching of Nack floods, a 32-seed termination and
+//                 replay property for adversarial runs, and the pinned
+//                 cells of bench/fig_dissemination --adversarial with its
+//                 MAC-tax bounds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.hpp"
 #include "chaos/hostile.hpp"
 #include "chaos/prng.hpp"
+#include "dissemination_cells.hpp"
 #include "host/parallel.hpp"
 #include "net/auth.hpp"
 #include "net/frame.hpp"
@@ -565,6 +573,130 @@ TEST(NetHostile, GridFleetSurvivesSeededAttacker) {
   const auto r2 = run();
   EXPECT_EQ(r2.digest, r.digest);
   EXPECT_EQ(r2.cycles, r.cycles);
+}
+
+// bench/fig_dissemination --adversarial (dissem::adversarial_matrix()):
+// {star 8, grid 16} at 10% loss x MAC off/on x hostile node off/on, plus a
+// lossless honest MAC-off/on pair per topology. Its honest MAC-off star
+// cells are the default matrix's star 8 cells, pinned by
+// NetDeterminism.GoldenTraceDigests, and are not run again here. Every
+// other cell ends inside its budget at exactly the pinned cycles and
+// digest; an honest cell converges byte-identically, and no MAC-on cell
+// installs a forgery.
+struct CellPin {
+  const char* name;  // dissem::cell_name of the cell
+  uint64_t cycles;
+  uint64_t digest;
+};
+
+constexpr CellPin kAdversarialPins[] = {
+    {"star 8 @ 10% hostile", 12840960, 0xb68c346852c27d36ULL},
+    {"star 8 @ 10% mac", 32922624, 0x9a8b55ba05ba60bdULL},
+    {"star 8 @ 10% mac hostile", 4381381632, 0xbc5e2796ef553bdeULL},
+    {"star 8 @ 0% mac", 16465920, 0xe2d1de1ddc848707ULL},
+    {"grid 16 @ 10%", 284805120, 0x27e3fb87794159c3ULL},
+    {"grid 16 @ 10% hostile", 81841152, 0x3ba28db08c9f520dULL},
+    {"grid 16 @ 10% mac", 272074752, 0x27b907efb388523dULL},
+    {"grid 16 @ 10% mac hostile", 32501031936, 0xb2eb9080f55157b7ULL},
+    {"grid 16 @ 0%", 196033536, 0x1eaf309420c41fcdULL},
+    {"grid 16 @ 0% mac", 237646848, 0x994b87c243d7aad7ULL},
+};
+
+// The lossless honest MAC-off star 8 cell: "matrix star 8 @ 0%" of
+// NetDeterminism.GoldenTraceDigests.
+constexpr uint64_t kStar8LosslessCycles = 16220160;
+
+using AdversarialRuns = std::vector<std::pair<std::string, HostileRun>>;
+
+// Runs the adversarial cells that are not default-matrix cells and whose
+// MAC-on-under-attack flag is `mac_under_attack`, and checks each against
+// its pin and the per-cell rules.
+AdversarialRuns expect_adversarial_cells(bool mac_under_attack) {
+  std::vector<net::NetConfig> cfgs = dissem::adversarial_matrix();
+  std::erase_if(cfgs, [&](const net::NetConfig& cfg) {
+    const bool hostile = cfg.hostile_node != 0;
+    return (!cfg.proto.auth && !hostile &&
+            cfg.topo.kind == net::TopologyKind::Star) ||
+           (cfg.proto.auth && hostile) != mac_under_attack;
+  });
+  const auto blob = dissem::fig7_image_blob();
+  const auto runs = host::sweep_collect<HostileRun>(
+      cfgs.size(), host::effective_jobs(4, cfgs.size()), [&](std::size_t i) {
+        std::optional<chaos::HostileNode> attacker;
+        if (cfgs[i].hostile_node)
+          attacker.emplace(dissem::attacker_profile(cfgs[i]));
+        return run_hostile(cfgs[i], blob, attacker ? &*attacker : nullptr);
+      });
+  AdversarialRuns named;
+  for (size_t i = 0; i < cfgs.size(); ++i) {
+    const net::NetConfig& cfg = cfgs[i];
+    const HostileRun& r = runs[i];
+    const std::string name = dissem::cell_name(cfg);
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(r.d.budget_exhausted);
+    if (!cfg.hostile_node) {
+      EXPECT_TRUE(r.d.all_acked);
+    }
+    // Honest nodes off the source image, and those of them that completed:
+    // a forged install.
+    size_t foreign = 0, forged = 0;
+    for (size_t id = 1; id <= cfg.nodes; ++id) {
+      if (id == cfg.hostile_node || r.blobs[id - 1] == blob) continue;
+      ++foreign;
+      forged += r.complete[id - 1];
+    }
+    if (!cfg.hostile_node) {
+      EXPECT_EQ(foreign, 0u);
+    }
+    if (cfg.proto.auth) {
+      EXPECT_EQ(forged, 0u) << "forged installs with MAC on";
+    }
+    const CellPin* pin = nullptr;
+    for (const CellPin& p : kAdversarialPins)
+      if (name == p.name) pin = &p;
+    if (!pin) {
+      ADD_FAILURE() << "no pin";
+      continue;
+    }
+    EXPECT_EQ(r.cycles, pin->cycles);
+    EXPECT_EQ(r.digest, pin->digest) << "digest 0x" << std::hex << r.digest;
+    named.emplace_back(name, r);
+  }
+  return named;
+}
+
+// Every cell but the two MAC-on cells under attack, which have their own
+// test below.
+TEST(NetHostile, AdversarialMatrixPinned) {
+  const auto runs = expect_adversarial_cells(false);
+  ASSERT_EQ(runs.size() + 2, std::size(kAdversarialPins));
+  const auto cycles = [&](const std::string& name) {
+    for (const auto& [n, r] : runs)
+      if (n == name) return r.cycles;
+    ADD_FAILURE() << "no cell " << name;
+    return uint64_t{1};
+  };
+
+  // The MAC tax on the lossless honest pair (at 10% loss the tag bytes
+  // shift frames against the seeded drop rolls, and that luck buries the
+  // tax). On a star the tags vanish into data traffic: within 2%. On a mesh
+  // Summary re-floods and relayed Acks are small frames the 8-byte tag
+  // inflates by 38-73% each: the bound keeps that tax under 25%.
+  const double star_tax =
+      double(cycles("star 8 @ 0% mac")) / double(kStar8LosslessCycles) - 1.0;
+  EXPECT_LE(std::abs(star_tax), 0.02) << "star MAC tax";
+  const double grid_tax = double(cycles("grid 16 @ 0% mac")) /
+                              double(cycles("grid 16 @ 0%")) -
+                          1.0;
+  EXPECT_LE(std::abs(grid_tax), 0.25) << "grid MAC tax";
+}
+
+// The two MAC-on cells under attack: the attacker stretches them to 4.4
+// (star) and 32.5 (grid) Gcycles, ending with every honest node cleanly
+// abandoned and no forged install. They dominate the matrix's run time,
+// which is why they stand apart from AdversarialMatrixPinned.
+TEST(NetHostile, AdversarialMacUnderAttackPinned) {
+  EXPECT_EQ(expect_adversarial_cells(true).size(), 2u);
 }
 
 // 32-seed property: one random hostile node per seed, and every run

@@ -1,16 +1,21 @@
 // Conformance suite for the multi-node radio network and the over-the-air
 // dissemination protocol (DESIGN.md §7): frame/image codec round-trips, the
 // 4-node lossy-dissemination acceptance scenario (byte-identical installs),
-// golden trace digests, serial-vs-parallel replay equality, a 32-seed
-// randomized-program property test, and adversarial schedules that must end
-// in a verified install or a clean abort — never a partial activation.
+// golden trace digests (bench/fig_dissemination's default and recovery
+// cells among them, with mesh cost flatness), serial-vs-parallel replay
+// equality, a 32-seed randomized-program property test, and adversarial
+// schedules that must end in a verified install or a clean abort — never a
+// partial activation.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "apps/treesearch.hpp"
 #include "chaos/prng.hpp"
+#include "dissemination_cells.hpp"
 #include "host/parallel.hpp"
 #include "net/frame.hpp"
 #include "net/image_codec.hpp"
@@ -266,16 +271,77 @@ net::NetConfig fleet_config(net::TopologyKind kind, size_t nodes,
   return cfg;
 }
 
+struct GoldenRun {
+  bool all_acked = false;
+  uint64_t cycles = 0;
+  uint64_t digest = 0;
+  size_t foreign_images = 0;  // nodes whose image is not the source's
+};
+
+GoldenRun golden_run(const net::NetConfig& cfg,
+                     const std::vector<uint8_t>& blob) {
+  net::NetSim sim(cfg, blob);
+  const auto r = sim.disseminate();
+  GoldenRun run{r.all_acked, r.cycles, r.trace_digest, 0};
+  for (size_t id = 1; id <= cfg.nodes; ++id)
+    run.foreign_images += sim.node_blob(id) != blob;
+  return run;
+}
+
+struct CellPin {
+  const char* name;  // dissem::cell_name of the cell
+  uint64_t cycles;
+  uint64_t digest;
+};
+
+// bench/fig_dissemination's default matrix, in dissem::default_matrix()
+// order.
+constexpr CellPin kMatrixPins[] = {
+    {"star 2 @ 0%", 16072704, 0x4bc9cc79b352c290ULL},
+    {"star 2 @ 10%", 19731456, 0xc20a78a60e42f01cULL},
+    {"star 2 @ 25%", 30618624, 0x509ee470215dda3aULL},
+    {"star 4 @ 0%", 16121856, 0x5456e7417a411783ULL},
+    {"star 4 @ 10%", 21076992, 0x42ebe00f47465c64ULL},
+    {"star 4 @ 25%", 37008384, 0x18e060687f5c1697ULL},
+    {"star 8 @ 0%", 16220160, 0xc4b09ffd4e7af5afULL},
+    {"star 8 @ 10%", 35168256, 0x8f52150a71929cd6ULL},
+    {"star 8 @ 25%", 47723520, 0xd3b9cdf6be481b19ULL},
+    {"star 16 @ 0%", 16416768, 0xee24080370dc4f47ULL},
+    {"star 16 @ 10%", 116100096, 0xf7076ac243bf418aULL},
+    {"star 16 @ 25%", 207412224, 0x4c7ecb03e725c37eULL},
+    {"line 8 @ 10%", 324446208, 0xfaa5290757024f6eULL},
+    {"random 12 @ 10%", 140666880, 0x90d97c0a89c10942ULL},
+    {"grid 8 @ 0%", 129761280, 0xef9075a3b61fabf7ULL},
+    {"grid 8 @ 10%", 114275328, 0x37c47d1ca9be86c9ULL},
+    {"grid 24 @ 10%", 353442816, 0xbee7e7694101bba5ULL},
+    {"grid 64 @ 10%", 1356346368, 0x154fb9f0bece13c6ULL},
+};
+
+// Its --recovery cells with k >= 1 reboots, in dissem::recovery_matrix()
+// order; the k = 0 cells are the matrix's star 4 cells above.
+constexpr CellPin kRecoveryPins[] = {
+    {"star 4 @ 0% reboots 1", 23362560, 0xba66e5300cbaae26ULL},
+    {"star 4 @ 10% reboots 1", 31448064, 0x7a747b75b3f9acb2ULL},
+    {"star 4 @ 25% reboots 1", 37622784, 0x76cdc92c2cca95f3ULL},
+    {"star 4 @ 0% reboots 2", 35297280, 0xa7f04e9045cbde68ULL},
+    {"star 4 @ 10% reboots 2", 34996224, 0x74133430c2b5d683ULL},
+    {"star 4 @ 25% reboots 2", 45367296, 0x97ad6f2338ee9457ULL},
+};
+
+// Every row converges with every node byte-identical to the source, at
+// exactly the pinned cycles and digest. The fleet rows come first, then
+// the bench's cells; peer serving keeps the mesh's per-node cost near-flat
+// as it grows, so grid 64 @ 10% costs at most 2x grid 8 @ 10% per node.
 TEST(NetDeterminism, GoldenTraceDigests) {
   using net::TopologyKind;
   struct Golden {
-    const char* name;
+    std::string name;
     net::NetConfig cfg;
     int search_tasks;
     uint64_t cycles;
     uint64_t digest;
   };
-  const Golden rows[] = {
+  std::vector<Golden> rows = {
       {"seed 1", lossy_config(1), 1, 22677504, 0x7697f85e0c51bdedULL},
       {"seed 2", lossy_config(2), 1, 19734528, 0x763c4fa6f5fb1d97ULL},
       {"seed 3", lossy_config(3), 1, 24001536, 0xdfee889478227a01ULL},
@@ -290,16 +356,47 @@ TEST(NetDeterminism, GoldenTraceDigests) {
       {"grid 16 @ 10%", fleet_config(TopologyKind::Grid, 16, 10), 2,
        263193600, 0x2c5f7e1d00955083ULL},
   };
+  const auto add_cells = [&](const char* matrix,
+                             const std::vector<net::NetConfig>& cfgs,
+                             std::span<const CellPin> pins) {
+    ASSERT_EQ(cfgs.size(), pins.size()) << matrix;
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+      EXPECT_EQ(dissem::cell_name(cfgs[i]), pins[i].name) << matrix;
+      rows.push_back({std::string(matrix) + " " + pins[i].name, cfgs[i], 2,
+                      pins[i].cycles, pins[i].digest});
+    }
+  };
+  add_cells("matrix", dissem::default_matrix(), kMatrixPins);
+  std::vector<net::NetConfig> recovery = dissem::recovery_matrix();
+  std::erase_if(recovery, [](const net::NetConfig& cfg) {
+    return cfg.node_faults.crash_pct == 0;
+  });
+  add_cells("recovery", recovery, kRecoveryPins);
+
   const std::vector<uint8_t> blobs[] = {linked_blob(apps::fig7_mix(8, 1)),
-                                        linked_blob(apps::fig7_mix(8, 2))};
-  for (const Golden& g : rows) {
-    net::NetSim sim(g.cfg, blobs[g.search_tasks - 1]);
-    const auto r = sim.disseminate();
-    ASSERT_TRUE(r.all_acked) << g.name;
-    EXPECT_EQ(r.cycles, g.cycles) << g.name;
-    EXPECT_EQ(r.trace_digest, g.digest)
-        << g.name << " digest 0x" << std::hex << r.trace_digest;
+                                        dissem::fig7_image_blob()};
+  const auto runs = host::sweep_collect<GoldenRun>(
+      rows.size(), host::effective_jobs(4, rows.size()), [&](std::size_t i) {
+        return golden_run(rows[i].cfg, blobs[rows[i].search_tasks - 1]);
+      });
+  const auto cycles_per_node = [&](const std::string& name) {
+    for (size_t i = 0; i < rows.size(); ++i)
+      if (rows[i].name == name)
+        return double(runs[i].cycles / rows[i].cfg.nodes);
+    ADD_FAILURE() << "no row " << name;
+    return 0.0;
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Golden& g = rows[i];
+    EXPECT_TRUE(runs[i].all_acked) << g.name;
+    EXPECT_EQ(runs[i].foreign_images, 0u) << g.name;
+    EXPECT_EQ(runs[i].cycles, g.cycles) << g.name;
+    EXPECT_EQ(runs[i].digest, g.digest)
+        << g.name << " digest 0x" << std::hex << runs[i].digest;
   }
+  EXPECT_LE(cycles_per_node("matrix grid 64 @ 10%") /
+                cycles_per_node("matrix grid 8 @ 10%"),
+            2.0);
 }
 
 // The wake schedule (DESIGN.md §9) lets every honest receiver sleep until

@@ -2,13 +2,17 @@
 // codec and trial state machine, wave-by-wave fleet upgrade behind the
 // health gate, automatic rollback (gate trips, interrupted trials, fleet
 // halt past the failure budget), reboot-during-probation/rollback
-// regressions, and byte-identical replay of a full mesh rollout.
+// regressions, the pinned cells of bench/fig_dissemination --rollout with
+// their outcome checks, and byte-identical replay of a full mesh rollout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "apps/treesearch.hpp"
+#include "dissemination_cells.hpp"
 #include "emu/machine.hpp"
 #include "net/auth.hpp"
 #include "net/image_codec.hpp"
@@ -630,6 +634,77 @@ TEST(NetRollout, HarnessLemonOverridesProbedBehavior) {
   EXPECT_EQ(run.result.failures, 1u);
   EXPECT_TRUE(run.result.nodes[2].rolled_back);
   EXPECT_EQ(run.result.nodes[2].final_crc, net::crc32(run.old_blob));
+}
+
+// --- bench/fig_dissemination --rollout: the staged-upgrade matrix ----------
+// dissem::rollout_matrix(): a fleet on a small treesearch image is upgraded
+// to the fig7 image under MAC, failure budget 1, crossed with wave size,
+// loss and 0-2 seeded lemon trials: the first lemon trips the supervision
+// gate mid-probation, the second crash-loops. Every cell is pinned, no
+// cell leaves a trial active or rejects an honest health report, a
+// lemon-free cell promotes the whole fleet, one lemon is rolled back
+// alone, and two halt the rollout with the whole fleet back on the old
+// image.
+TEST(NetRollout, StagedMatrixPinned) {
+  struct Pin {
+    const char* name;  // dissem::cell_name plus the lemon count
+    uint64_t cycles;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"star 8 @ 0% mac wave 2 lemons 0", 57400320, 0x210c23f789c73884ULL},
+      {"star 8 @ 0% mac wave 2 lemons 1", 57394176, 0x9a4ffe98b7f1cfd5ULL},
+      {"star 8 @ 0% mac wave 2 lemons 2", 45431808, 0xc9df36630f8138a8ULL},
+      {"star 8 @ 10% mac wave 2 lemons 0", 76197888, 0x94c36f279b24f359ULL},
+      {"star 8 @ 10% mac wave 2 lemons 1", 78084096, 0x139343a6081a507dULL},
+      {"star 8 @ 10% mac wave 2 lemons 2", 61802496, 0x4ca72d8d33d362a4ULL},
+      {"star 8 @ 0% mac wave 4 lemons 0", 37933056, 0xf067948e5e2c2f90ULL},
+      {"star 8 @ 0% mac wave 4 lemons 1", 37592064, 0x79e7816f718fd982ULL},
+      {"star 8 @ 0% mac wave 4 lemons 2", 36019200, 0x8412b2ed8ee256deULL},
+      {"star 8 @ 10% mac wave 4 lemons 0", 55867392, 0x097680e085188f7dULL},
+      {"star 8 @ 10% mac wave 4 lemons 1", 61350912, 0x1109128c0a77631eULL},
+      {"star 8 @ 10% mac wave 4 lemons 2", 59283456, 0xe0bccb72167ac7b3ULL},
+      {"grid 16 @ 0% mac wave 4 lemons 0", 314775552, 0xbdf1ea816c86c4bcULL},
+      {"grid 16 @ 0% mac wave 4 lemons 2", 308290560, 0xd86eb56e3a37edd5ULL},
+      {"grid 16 @ 10% mac wave 4 lemons 0", 345572352, 0x96ba135caea4c8f9ULL},
+      {"grid 16 @ 10% mac wave 4 lemons 2", 343262208, 0xde933049b3dc2872ULL},
+  };
+  const auto specs = dissem::rollout_matrix();
+  ASSERT_EQ(specs.size(), std::size(pins));
+  const auto ob = dissem::old_image_blob();
+  const auto nb = dissem::fig7_image_blob();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const dissem::RolloutSpec& spec = specs[i];
+    const size_t lemons = spec.lemons.size();
+    const std::string name = dissem::cell_name(spec.cfg) + " lemons " +
+                             std::to_string(lemons);
+    SCOPED_TRACE(name);
+    EXPECT_EQ(name, pins[i].name);
+    net::NetSim sim(spec.cfg, nb);
+    dissem::prepare_rollout(sim, spec, ob);
+    const auto r = sim.rollout();
+    EXPECT_EQ(r.cycles, pins[i].cycles);
+    EXPECT_EQ(r.trace_digest, pins[i].digest)
+        << "digest 0x" << std::hex << r.trace_digest;
+    if (!r.dissem.all_acked) {
+      ADD_FAILURE() << "dissemination did not converge";
+      continue;
+    }
+    EXPECT_EQ(r.health_rejected, 0u);
+    const size_t nodes = spec.cfg.nodes;
+    for (size_t id = 1; id <= nodes; ++id)
+      EXPECT_FALSE(r.nodes[id].trial_left_active) << "node " << id;
+    if (lemons == 0) {
+      EXPECT_TRUE(r.complete);
+      EXPECT_EQ(r.confirmed, nodes);
+    } else {
+      EXPECT_EQ(r.halted, lemons == 2);
+    }
+    for (size_t id = 1; id <= nodes; ++id) {
+      const bool old = lemons == 2 || (lemons == 1 && id == spec.lemons[0]);
+      expect_on_image(sim, id, old ? ob : nb, SlotState::Confirmed);
+    }
+  }
 }
 
 // --- A mesh rollout replays byte-identically --------------------------------
