@@ -13,7 +13,7 @@ class Prng {
   explicit Prng(uint64_t seed) : s_(seed) {}
 
   uint64_t next() {
-    uint64_t z = (s_ += 0x9E3779B97F4A7C15ULL);
+    uint64_t z = (s_ += kGamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
@@ -28,10 +28,19 @@ class Prng {
   // Uniform-ish in [lo, hi] inclusive.
   uint32_t range(uint32_t lo, uint32_t hi) { return lo + below(hi - lo + 1); }
 
-  // True with probability ~pct/100.
-  bool percent(uint32_t pct) { return below(100) < pct; }
+  // True with probability ~pct/100: below(100) < pct. A certain outcome
+  // (pct 0, or 100 and up) only advances the counter — the draw's value
+  // cannot change it — so the generator ends in the same state either way.
+  bool percent(uint32_t pct) {
+    if (pct == 0 || pct >= 100) {
+      s_ += kGamma;
+      return pct != 0;
+    }
+    return below(100) < pct;
+  }
 
  private:
+  static constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
   uint64_t s_;
 };
 

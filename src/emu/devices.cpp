@@ -65,6 +65,11 @@ void DeviceHub::sync(uint64_t now) {
     mem_.set_raw(kAdcsra, sra);
   }
 
+  sync_radio(now);
+}
+
+void DeviceHub::sync_radio(uint64_t now) {
+  now_ = now;
   if (now >= rx_next_at_) rx_arrive(now);
 
   // Radio transmit completion(s): hand the finished packet over (to the

@@ -160,6 +160,12 @@ class DeviceHub {
 
   // Advance device state to `now` (cycle count) and latch interrupt flags.
   void sync(uint64_t now);
+  // sync() for a device with Timer0 stopped (TCCR0 clock select 0) and no
+  // ADC conversion armed, as on a node a host simulator drives without
+  // guest code: there the Timer0 and ADC steps of sync() are no-ops, and
+  // this skips them (and the data-memory read of TCCR0). It advances the
+  // radio, which is all such a device has running.
+  void sync_radio(uint64_t now);
 
   // Pending-interrupt query: highest-priority enabled+flagged line, if any.
   std::optional<Irq> pending_irq() const;
@@ -219,7 +225,8 @@ class DeviceHub {
   void flush_rx();
 
   // Host-side radio access for simulators driving the device without guest
-  // code. take_rx appends every readable RX byte to `out` and empties the
+  // code (so, like sync_radio, on a device with Timer0 stopped and the ADC
+  // idle). take_rx appends every readable RX byte to `out` and empties the
   // buffer — exactly what a loop of kRadioRxAvail/kRadioRxData reads at the
   // current device time returns, without the per-byte port round trip.
   void take_rx(std::vector<uint8_t>& out);
@@ -230,7 +237,7 @@ class DeviceHub {
   // were lost to an overrun or the packet was delivered again.
   template <typename Sink>
   void take_rx_runs(Sink&& sink) {
-    sync(now_);
+    sync_radio(now_);
     for (; rx_runs_count_ > 0; --rx_runs_count_) {
       RxRun& r = rx_runs_[rx_runs_head_];
       sink(std::move(r.packet), size_t(r.offset), size_t(r.length));
@@ -243,6 +250,15 @@ class DeviceHub {
   // between. Bytes already readable report the current device time;
   // nullopt if fewer than k bytes are buffered or in flight.
   std::optional<uint64_t> rx_arrival(size_t k) const;
+  // The delivery in flight whose first byte is the next unread one, if no
+  // received byte is unread and none of it has arrived: its packet, with
+  // `begin` set to the cycle its delivery starts; otherwise nullptr.
+  const RadioPacket* rx_next_delivery(uint64_t& begin) const {
+    if (rx_avail_bytes_ != 0 || rx_cursor_ != 0 || rx_pending_.empty())
+      return nullptr;
+    begin = rx_pending_.front().begin;
+    return rx_pending_.front().packet.get();
+  }
   // The i-th (0-based) unread byte in the same order: buffered runs first,
   // then deliveries in flight from the front packet's cursor on; nullopt
   // past the last byte buffered or in flight.

@@ -22,7 +22,15 @@ struct RadioPacket {
   RadioPacket& operator=(const RadioPacket&) = delete;
   virtual ~RadioPacket() = default;
 
+  // The derived type's tag: true only on a net::ParsedPacket whose bytes
+  // are exactly one whole frame, so a deframer may take its parsed frame
+  // without a type query. Always false on a plain RadioPacket.
+  bool whole_frame_tag() const { return whole_frame_tag_; }
+
   std::vector<uint8_t> bytes;
+
+ protected:
+  bool whole_frame_tag_ = false;
 };
 
 using RadioPacketRef = std::shared_ptr<const RadioPacket>;

@@ -15,16 +15,22 @@ namespace sensmart::net {
 // taking the due ids visits exactly them, and every operation but the
 // rare far-list refill is O(1). A deadline of kNever leaves the id out
 // until its deadline moves again.
+//
+// Deadlines are kept in cycles and bucketed by quanta of kQuantum cycles
+// (an id is due in the first quantum edge at or after its deadline). The
+// quantum is a compile-time constant, so set() divides by a multiply;
+// take_due() steps the cycle of the next quantum edge.
+template <uint64_t kQuantum>
 class DueSet {
+  static_assert(kQuantum > 0);
+
  public:
   static constexpr uint64_t kNever = ~0ULL;
 
-  // Ids 0..n-1, every one due at cycle 0; deadlines are counted in
-  // quanta of `quantum` cycles (an id is due in the first quantum edge at
-  // or after its deadline).
-  void reset(size_t n, uint64_t quantum) {
-    quantum_ = quantum;
+  // Ids 0..n-1, every one due at cycle 0.
+  void reset(size_t n) {
     next_q_ = 0;
+    next_edge_ = 0;
     head_.assign(kSlots, kNone);
     far_ = kNone;
     far_min_ = kNever;
@@ -49,7 +55,7 @@ class DueSet {
   // one bucket per quantum since the last call.
   void take_due(uint64_t t, std::vector<uint32_t>& out) {
     const size_t first = out.size();
-    for (const uint64_t last = t / quantum_; next_q_ <= last;) {
+    while (next_edge_ <= t) {
       uint32_t& head = head_[next_q_ % kSlots];
       for (uint32_t id = head; id != kNone; id = next_[id]) {
         where_[id] = kOut;
@@ -57,6 +63,7 @@ class DueSet {
       }
       head = kNone;
       ++next_q_;
+      next_edge_ += kQuantum;
       if (far_min_ < next_q_ + kSlots) refill();
     }
     std::sort(out.begin() + static_cast<ptrdiff_t>(first), out.end());
@@ -69,9 +76,11 @@ class DueSet {
   static constexpr uint32_t kOut = kSlots + 1;  // where_: not in the set
 
   // Quantum in which an id with deadline `wake` is due (never before the
-  // next one taken).
+  // next one taken): the first edge at or after `wake`.
   uint64_t quantum_of(uint64_t wake) const {
-    return std::max(next_q_, wake / quantum_ + (wake % quantum_ != 0));
+    if (wake <= next_edge_) return next_q_;
+    const uint64_t d = wake - next_edge_;
+    return next_q_ + d / kQuantum + (d % kQuantum != 0);
   }
 
   void push_front(uint32_t& head, uint32_t id, uint32_t where) {
@@ -117,8 +126,8 @@ class DueSet {
     }
   }
 
-  uint64_t quantum_ = 1;
   uint64_t next_q_ = 0;            // first quantum not yet taken
+  uint64_t next_edge_ = 0;         // its first cycle: next_q_ * kQuantum
   std::vector<uint32_t> head_;     // bucket lists, by quantum % kSlots
   uint32_t far_ = kNone;           // ids due past the window
   uint64_t far_min_ = kNever;      // earliest quantum on the far list

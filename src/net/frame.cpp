@@ -77,8 +77,8 @@ ParsedPacket::ParsedPacket(std::span<const uint8_t> b)
   // before it.
   Deframer d;
   d.push(bytes);
-  whole_frame = d.next(frame) &&
-                kFrameOverhead + frame.payload.size() == bytes.size();
+  whole_frame_tag_ = d.next(frame) &&
+                    kFrameOverhead + frame.payload.size() == bytes.size();
 }
 
 void Deframer::push(std::span<const uint8_t> bytes) {
@@ -101,8 +101,8 @@ void Deframer::push(emu::RadioPacketRef packet, size_t offset,
       return;
     }
   } else if (offset == 0 && head_ == buf_.size()) {
-    const auto* parsed = dynamic_cast<const ParsedPacket*>(packet.get());
-    if (parsed && parsed->whole_frame) {
+    if (packet->whole_frame_tag()) {
+      const auto* parsed = static_cast<const ParsedPacket*>(packet.get());
       std::shared_ptr<const ParsedPacket> p(std::move(packet), parsed);
       if (length == p->bytes.size()) {
         ready_.push_back(std::move(p));

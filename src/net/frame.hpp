@@ -63,15 +63,16 @@ std::vector<uint8_t> encode_frame(const Frame& f);
 void encode_frame_into(const Frame& f, std::vector<uint8_t>& out);
 
 // A transmitted packet with the byte-wise Deframer's verdict on it: when
-// `whole_frame` holds, an empty Deframer fed exactly these bytes delivers
-// `frame` and consumes every byte, with no skipped byte and no CRC error.
-// Any other packet (garbage, truncated, several frames, unknown type) has
-// whole_frame false and is always parsed byte by byte.
+// whole_frame_tag() holds, an empty Deframer fed exactly these bytes
+// delivers `frame` and consumes every byte, with no skipped byte and no
+// CRC error. Any other packet (garbage, truncated, several frames, unknown
+// type) has the tag clear and is always parsed byte by byte. Only this
+// constructor sets the tag, so it also tells the Deframer a whole-frame
+// ParsedPacket from any other RadioPacket.
 struct ParsedPacket final : emu::RadioPacket {
   explicit ParsedPacket(std::span<const uint8_t> b);
 
-  bool whole_frame = false;
-  Frame frame;  // valid when whole_frame
+  Frame frame;  // valid when whole_frame_tag()
 };
 
 // Streaming parser over the raw RX byte sequence. Its output is a function
@@ -109,6 +110,11 @@ class Deframer {
   // or need() itself when the known bytes run out first.
   template <typename Peek>
   size_t need(Peek&& peek) const;
+
+  // No byte is pushed and unparsed.
+  bool empty() const {
+    return ready_head_ == ready_.size() && unparsed().empty();
+  }
 
   uint64_t crc_errors() const { return crc_errors_; }
   uint64_t skipped_bytes() const { return skipped_; }

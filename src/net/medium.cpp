@@ -18,6 +18,17 @@ Medium::Arrival& Medium::arrival_at(uint64_t at) {
   return a;
 }
 
+void Medium::attach(emu::DeviceHub* dev) {
+  sent_at_attach_.push_back(broadcasts_ ? sent_ : std::vector<uint64_t>{});
+  devs_.push_back(dev);
+  sent_.push_back(0);
+}
+
+uint64_t Medium::link_tx_index(size_t from, size_t to) const {
+  const std::vector<uint64_t>& before = sent_at_attach_[to];
+  return sent_[from] - (from < before.size() ? before[from] : 0);
+}
+
 void Medium::add_partition(std::span<const size_t> a,
                            std::span<const size_t> b, uint64_t begin,
                            uint64_t end) {
@@ -38,6 +49,8 @@ bool Medium::in_outage(size_t from, size_t to, uint64_t at) const {
 }
 
 void Medium::set_topology(Topology t) {
+  if (broadcasts_)
+    throw std::invalid_argument("Medium::set_topology: broadcasts began");
   topo_ = std::move(t);
   mask_words_ = topo_.mesh ? (topo_.count + 63) / 64 : 0;
   audience_.assign(topo_.count * mask_words_, 0);
@@ -110,16 +123,17 @@ void Medium::flush(uint64_t now) {
     pending_.pop_back();
     const bool mesh = a.tx_done != 0;
     if (mesh) resolve_collisions(a);
-    for (const Delivery& d : a.to) {
-      if (mesh && (kill_[d.to / 64] >> (d.to % 64) & 1)) {
+    auto corrupted = a.corrupted.begin();
+    for (const uint32_t d : a.to) {
+      const size_t to = d & ~kCorruptCopy;
+      const emu::RadioPacketRef& packet =
+          d & kCorruptCopy ? *corrupted++ : a.packet;
+      if (mesh && (kill_[to / 64] >> (to % 64) & 1)) {
         ++stats_.collisions;
-        if (observer_)
-          observer_(a.tx_done, FaultAction::Collision, a.from, d.to);
+        if (observer_) observer_(a.tx_done, FaultAction::Collision, a.from, to);
         continue;
       }
-      flushed_to_.push_back(
-          {d.to, devs_[d.to]->schedule_rx(
-                     d.corrupted ? d.corrupted : a.packet, a.at)});
+      flushed_to_.push_back({to, devs_[to]->schedule_rx(packet, a.at)});
     }
   }
   // Prune transmission-log entries far older than any delivery still in
@@ -140,7 +154,8 @@ void Medium::flush(uint64_t now) {
 void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
                        uint64_t done_cycle) {
   const size_t n = devs_.size();
-  if (link_tx_.size() < n * n) link_tx_.resize(n * n, 0);
+  if (from >= n)
+    throw std::invalid_argument("Medium::broadcast: sender not attached");
   stats_.bytes_on_air += packet.size();
 
   const uint64_t base_latency =
@@ -156,40 +171,45 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
 
   const uint64_t primary_at = done_cycle + base_latency;
   const size_t links = mesh ? topo_.neighbors[from].size() : n - 1;
+  const bool outages = !outages_.empty();
+
+  // The arrival at the base latency collects nearly every delivery: it is
+  // made first, as batch_[0], and sized once for every link. Arrivals
+  // drain by time first, so its sequence number ranks it only against
+  // other broadcasts' arrivals, whose order it keeps.
+  arrival_at(primary_at).to.reserve(links);
 
   // Deliver one copy of this packet to `to` at cycle `at`; a corrupted copy
   // gets its own buffer with 1..3 bits flipped at seeded positions — enough
   // to break the frame CRC (or, rarely, only the sync byte: the deframer
   // resyncs either way).
   auto enqueue = [&](size_t to, uint64_t at, bool corrupt) {
-    emu::RadioPacketRef copy;
-    if (corrupt) {
-      std::vector<uint8_t> bytes(packet.begin(), packet.end());
-      const uint32_t flips = prng_.range(1, 3);
-      for (uint32_t i = 0; i < flips; ++i) {
-        const uint32_t bit =
-            prng_.below(static_cast<uint32_t>(bytes.size() * 8));
-        bytes[bit >> 3] ^= static_cast<uint8_t>(1u << (bit & 7));
-      }
-      copy = std::make_shared<const emu::RadioPacket>(std::move(bytes));
-    }
     Arrival& a = arrival_at(at);
-    // The arrival at the base latency collects nearly every delivery:
-    // size it once, for every link.
-    if (a.to.empty() && at == primary_at) a.to.reserve(links);
-    a.to.push_back({to, std::move(copy)});
+    if (!corrupt) {
+      a.to.push_back(static_cast<uint32_t>(to));
+      return;
+    }
+    std::vector<uint8_t> bytes(packet.begin(), packet.end());
+    const uint32_t flips = prng_.range(1, 3);
+    for (uint32_t i = 0; i < flips; ++i) {
+      const uint32_t bit =
+          prng_.below(static_cast<uint32_t>(bytes.size() * 8));
+      bytes[bit >> 3] ^= static_cast<uint8_t>(1u << (bit & 7));
+    }
+    a.to.push_back(static_cast<uint32_t>(to) | kCorruptCopy);
+    a.corrupted.push_back(
+        std::make_shared<const emu::RadioPacket>(std::move(bytes)));
   };
 
   // Offer the packet on the link to `to`: outage check, then the fault
   // rolls, then the enqueue.
   auto offer = [&](size_t to, uint32_t quality) {
-    const uint64_t tx_index = link_tx_[from * n + to]++;
     ++stats_.packets_offered;
 
     // Link-down windows are checked first and bypass both the scripted
     // policy and the random rolls — an outage consumes no randomness, so
     // scheduling one never perturbs deliveries outside its window.
-    if (in_outage(from, to, done_cycle)) {
+    if (outages && in_outage(from, to, done_cycle)) {
       ++stats_.outage_drops;
       if (observer_) observer_(done_cycle, FaultAction::Outage, from, to);
       return;
@@ -202,7 +222,7 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
     // draw count per offered link is identical to the star medium's.
     FaultAction act = FaultAction::None;
     if (policy_) {
-      act = policy_(from, to, tx_index, packet);
+      act = policy_(from, to, link_tx_index(from, to), packet);
     } else {
       const bool drop =
           prng_.percent(std::min(100u, params_.drop_pct + (100u - quality)));
@@ -247,8 +267,8 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
         ++stats_.corrupted;
         enqueue(to, primary_at, true);
         break;
-      case FaultAction::None:
-        enqueue(to, primary_at, false);
+      case FaultAction::None:  // the primary arrival, made above
+        batch_[0].to.push_back(static_cast<uint32_t>(to));
         break;
     }
     ++stats_.delivered;
@@ -266,10 +286,13 @@ void Medium::broadcast(size_t from, std::span<const uint8_t> packet,
     for (size_t to = 0; to < n; ++to)
       if (to != from) offer(to, 100);
   }
+  ++sent_[from];
+  ++broadcasts_;
 
-  if (batch_.empty()) return;
-  const auto shared = std::make_shared<const ParsedPacket>(packet);
+  std::shared_ptr<const ParsedPacket> shared;
   for (Arrival& a : batch_) {
+    if (a.to.empty()) continue;  // every link dropped the primary copy
+    if (!shared) shared = std::make_shared<const ParsedPacket>(packet);
     a.packet = shared;
     a.from = from;
     a.tx_start = tx_start;

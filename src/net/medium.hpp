@@ -38,9 +38,9 @@ struct LinkParams {
 
 // Scripted fault override for conformance tests: called once per
 // (link, packet); the returned action replaces the random rolls for that
-// delivery. `link_tx_index` counts packets offered on this link. Outage
-// means the link is down for this delivery (counted separately from
-// random drops).
+// delivery. `link_tx_index` counts the packets offered on this link before
+// this one. Outage means the link is down for this delivery (counted
+// separately from random drops).
 enum class FaultAction : uint8_t {
   None, Drop, Duplicate, Reorder, Corrupt, Outage,
   // Mesh only (never produced by a scripted policy): the delivery was
@@ -87,8 +87,10 @@ class Medium {
     if (params_.latency_bytes == 0) params_.latency_bytes = 1;
   }
 
-  // Attach node radios in id order; ids are indices into this vector.
-  void attach(emu::DeviceHub* dev) { devs_.push_back(dev); }
+  // Attach node radios in id order; ids are indices into this vector. A
+  // radio attached after broadcasts began has been offered none of them:
+  // its links count from zero.
+  void attach(emu::DeviceHub* dev);
   size_t nodes() const { return devs_.size(); }
 
   void set_fault_policy(FaultPolicy p) { policy_ = std::move(p); }
@@ -104,7 +106,9 @@ class Medium {
   // are resolved against the transmission log at flush time, consume no
   // randomness, and depend only on the (deterministic) transmission
   // schedule. Without a mesh topology behavior is byte-identical to the
-  // legacy single-hop medium.
+  // legacy single-hop medium. Set it before the first broadcast: a link's
+  // offer count is its sender's broadcasts, which holds only for links
+  // that existed from the start. Throws std::invalid_argument after one.
   void set_topology(Topology t);
   const Topology& topology() const { return topo_; }
 
@@ -120,7 +124,7 @@ class Medium {
   // Broadcast a packet transmitted by `from`, whose last byte left the air
   // at `done_cycle`, to every other attached node (with a mesh topology:
   // to the sender's in-range neighbors only). Deliveries are buffered
-  // until flush().
+  // until flush(). Throws std::invalid_argument if `from` is not attached.
   void broadcast(size_t from, std::span<const uint8_t> packet,
                  uint64_t done_cycle);
 
@@ -163,13 +167,22 @@ class Medium {
 
  private:
   bool in_outage(size_t from, size_t to, uint64_t at) const;
+  // Offers on the link from -> to before the current one (sent_ counts
+  // every link a sender offers, minus what it sent before `to` attached).
+  uint64_t link_tx_index(size_t from, size_t to) const;
 
   LinkParams params_;
   chaos::Prng prng_;
   Topology topo_;  // empty (mesh=false) for the legacy single-hop medium
   std::vector<LinkOutage> outages_;
   std::vector<emu::DeviceHub*> devs_;
-  std::vector<uint64_t> link_tx_;  // per-link offered-packet counters
+  // Broadcasts per sender. A star or mesh broadcast offers every link of
+  // its sender to an attached receiver, so a link's offer count is its
+  // sender's broadcasts since the receiver attached: sent_at_attach_[to]
+  // holds sent_ as it stood then (empty when no broadcast came before).
+  std::vector<uint64_t> sent_;
+  std::vector<std::vector<uint64_t>> sent_at_attach_;
+  uint64_t broadcasts_ = 0;  // the sum of sent_
   FaultPolicy policy_;
   Observer observer_;
   MediumStats stats_;
@@ -180,11 +193,10 @@ class Medium {
   // pair, so the per-link drain order is exactly one sequence number per
   // delivery would give: a broadcast's deliveries are enqueued together,
   // in link order. Mesh entries carry the transmission's identity and
-  // airtime window for the collision check at flush time.
-  struct Delivery {
-    size_t to;
-    emu::RadioPacketRef corrupted;  // private bit-flipped copy, or null
-  };
+  // airtime window for the collision check at flush time. A delivery is
+  // its receiver id; kCorruptCopy marks one that reads the next of
+  // `corrupted`, its private bit-flipped copy, instead of `packet`.
+  static constexpr uint32_t kCorruptCopy = 1u << 31;
   struct Arrival {
     uint64_t at = 0;
     uint64_t seq = 0;
@@ -192,7 +204,8 @@ class Medium {
     size_t from = 0;
     uint64_t tx_start = 0;
     uint64_t tx_done = 0;  // 0 = star-mode delivery, no collision check
-    std::vector<Delivery> to;
+    std::vector<uint32_t> to;
+    std::vector<emu::RadioPacketRef> corrupted;
   };
   // The entry of the broadcast in progress that lands at `at`, created on
   // first use (with the next enqueue sequence).

@@ -293,7 +293,7 @@ NetSim::NetSim(NetConfig cfg, std::vector<uint8_t> image_blob)
     medium_.set_topology(
         build_topology(cfg_.topo, cfg_.nodes + 1, cfg_.chaos_seed));
   air_busy_until_.assign(cfg_.nodes + 1, 0);
-  due_.reset(cfg_.nodes, kByte);  // every receiver due in the first quantum
+  due_.reset(cfg_.nodes);  // every receiver due in the first quantum
 
   machines_.reserve(cfg_.nodes + 1);
   for (size_t id = 0; id <= cfg_.nodes; ++id) {
@@ -1403,6 +1403,14 @@ void NetSim::node_lifecycle(Node& n, uint64_t now) {
 // whose length byte is known is due at its last byte, not at its header.
 uint64_t NetSim::rx_ready_at(const Node& n) const {
   const emu::DeviceHub& dev = machines_[n.id]->dev();
+  // The common case after a drain: the deframer and the radio hold no
+  // byte and a whole frame is next in the air. The look-ahead over it
+  // reaches its last byte, read here off the packet's tag and size.
+  uint64_t begin = 0;
+  if (n.deframer.empty())
+    if (const emu::RadioPacket* p = dev.rx_next_delivery(begin);
+        p && p->whole_frame_tag())
+      return begin + p->bytes.size() * kByte;
   const auto at = dev.rx_arrival(
       n.deframer.need([&dev](size_t i) { return dev.peek_unread(i); }));
   return at ? *at : kNever;
@@ -1513,15 +1521,16 @@ bool NetSim::run_loop() {
     // sync and goes back into the due set with its new deadline; what it
     // produces for others waits in the outbox. A step never moves another
     // receiver's deadline (nothing it sends is heard before the next
-    // flush), so taking the due receivers out first keeps the order.
-    machines_[0]->dev().sync(t_);
+    // flush), so taking the due receivers out first keeps the order. No
+    // node runs guest code here, so a radio-only sync advances each one.
+    machines_[0]->dev().sync_radio(t_);
     due_ids_.clear();
     due_.take_due(t_, due_ids_);
     wake_entries_ += due_ids_.size();
     for (const uint32_t i : due_ids_) {
       Node& n = *nodes_[i];
       ++receiver_steps_;
-      machines_[n.id]->dev().sync(t_);
+      machines_[n.id]->dev().sync_radio(t_);
       node_lifecycle(n, t_);
       if (!n.down) step_node(n, t_);
       due_.set(i, next_wake(n, t_));

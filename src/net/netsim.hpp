@@ -586,7 +586,7 @@ class NetSim {
   // receiver sleeps until its deadline; only the hostile slot is due every
   // quantum. receiver_steps_ counts the steps taken, wake_entries_ the
   // due-set entries the loop took out to find them, due_ids_ is scratch.
-  DueSet due_;
+  DueSet<emu::DeviceHub::kCyclesPerRadioByte> due_;
   std::vector<uint32_t> due_ids_;
   uint64_t wake_entries_ = 0;
   uint64_t receiver_steps_ = 0;

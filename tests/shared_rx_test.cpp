@@ -193,10 +193,10 @@ TEST(MediumShared, FlushOrRebootOfOneReceiverKeepsOthersQueuedBytes) {
 
 TEST(DeframerVerdict, WholeFrameOnlyForExactlyOneValidFrame) {
   const auto good = frame_bytes(FrameType::Nack, 3, {1, 4, 0});
-  EXPECT_TRUE(net::ParsedPacket(good).whole_frame);
+  EXPECT_TRUE(net::ParsedPacket(good).whole_frame_tag());
   EXPECT_EQ(net::ParsedPacket(good).frame.seq, 3u);
   EXPECT_TRUE(
-      net::ParsedPacket(frame_bytes(FrameType::Ack, 1, {})).whole_frame);
+      net::ParsedPacket(frame_bytes(FrameType::Ack, 1, {})).whole_frame_tag());
 
   auto trailing = good;
   trailing.push_back(0);
@@ -213,7 +213,7 @@ TEST(DeframerVerdict, WholeFrameOnlyForExactlyOneValidFrame) {
   const auto garbage_first = concat({0x00, 0x11}, good);
   for (const auto& bad :
        {trailing, truncated, bad_crc, unknown, two, garbage_first})
-    EXPECT_FALSE(net::ParsedPacket(bad).whole_frame);
+    EXPECT_FALSE(net::ParsedPacket(bad).whole_frame_tag());
 }
 
 std::vector<uint8_t> honest_frame(chaos::Prng& r) {
@@ -374,8 +374,8 @@ TEST(NetDueSet, TakesExactlyTheDueIdsInIdOrder) {
   chaos::Prng r(0xD0E);
   constexpr size_t kIds = 40;
   constexpr uint64_t kQ = 3;  // cycles per quantum
-  net::DueSet due;
-  due.reset(kIds, kQ);
+  net::DueSet<kQ> due;
+  due.reset(kIds);
   std::vector<uint64_t> ref(kIds, 0);
   std::vector<uint32_t> got;
   for (uint64_t t = kQ; t < 60'000 * kQ; t += kQ) {
@@ -387,7 +387,7 @@ TEST(NetDueSet, TakesExactlyTheDueIdsInIdOrder) {
       const uint64_t w = pick < 5    ? t - r.below(static_cast<uint32_t>(t))
                          : pick < 80 ? t + r.below(40)
                          : pick < 95 ? t + r.below(60'000) * kQ
-                                     : net::DueSet::kNever;
+                                     : net::DueSet<kQ>::kNever;
       ref[id] = w;
       due.set(id, w);
     }
@@ -398,7 +398,7 @@ TEST(NetDueSet, TakesExactlyTheDueIdsInIdOrder) {
     due.take_due(t, got);
     ASSERT_EQ(got, want) << "t " << t;
     for (const uint32_t id : got) {
-      ref[id] = r.percent(3) ? net::DueSet::kNever : t + 1 + r.below(50);
+      ref[id] = r.percent(3) ? net::DueSet<kQ>::kNever : t + 1 + r.below(50);
       due.set(id, ref[id]);
     }
   }
@@ -537,7 +537,7 @@ TEST(DeframerNeedAhead, SharedPrefixLooksAheadLikeTheBuffer) {
         ASSERT_EQ(need_ahead(fast, future), chained_need(fast, future));
       }
     }
-    shared += p->whole_frame;
+    shared += p->whole_frame_tag();
   }
   EXPECT_GT(shared, 200u);
 }
